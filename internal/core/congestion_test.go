@@ -498,14 +498,17 @@ func TestCoalesceMergesAdjacentWrites(t *testing.T) {
 
 // TestCoalescedWritesSurviveConnectionDrops is the chaos half of the
 // coalescing contract: under a full window, concurrent writers allocating
-// adjacent offsets merge opportunistically, a dropper kills the transport
-// every 20ms, and every byte must still land exactly once — merged frames
-// are plain idempotent Pwrites, replayed verbatim across reconnects.
+// adjacent offsets merge opportunistically, the transport is killed after
+// every dropEvery-th completed chunk, and every byte must still land exactly
+// once — merged frames are plain idempotent Pwrites, replayed verbatim
+// across reconnects. The drop schedule is op-indexed, not wall-clock: a
+// ticker's first tick could come after a fast machine had finished writing.
 func TestCoalescedWritesSurviveConnectionDrops(t *testing.T) {
 	const (
-		chunk   = int64(1024)
-		chunks  = 768
-		writers = 8
+		chunk     = int64(1024)
+		chunks    = 768
+		writers   = 8
+		dropEvery = 48
 	)
 	mem := NewMemBackend()
 	srv := NewServer(Config{
@@ -541,24 +544,7 @@ func TestCoalescedWritesSurviveConnectionDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stopDrop := make(chan struct{})
-	var dropWG sync.WaitGroup
-	dropWG.Add(1)
-	go func() {
-		defer dropWG.Done()
-		tk := time.NewTicker(20 * time.Millisecond)
-		defer tk.Stop()
-		for {
-			select {
-			case <-stopDrop:
-				return
-			case <-tk.C:
-				c.DropConnection()
-			}
-		}
-	}()
-
-	var next atomic.Int64
+	var next, completed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -579,12 +565,13 @@ func TestCoalescedWritesSurviveConnectionDrops(t *testing.T) {
 					t.Errorf("chunk %d: short write %d", i, n)
 					return
 				}
+				if completed.Add(1)%dropEvery == 0 {
+					c.DropConnection()
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(stopDrop)
-	dropWG.Wait()
 
 	if err := c.Flush(ctx); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -601,7 +588,7 @@ func TestCoalescedWritesSurviveConnectionDrops(t *testing.T) {
 	t.Logf("reconnects=%d replays=%d coalesced=%d retries=%d cwnd=%.1f",
 		st.Reconnects, st.Replays, st.CoalescedWrites, st.Retries, st.Cwnd)
 	if st.Reconnects == 0 {
-		t.Error("dropper ran but the client never reconnected")
+		t.Errorf("%d drops but the client never reconnected", chunks/dropEvery)
 	}
 	if st.CoalescedWrites == 0 {
 		t.Error("no merges under a full window with adjacent concurrent writers")

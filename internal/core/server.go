@@ -242,12 +242,14 @@ func (s *Server) Close() error {
 
 // ServeConn handles one client connection until EOF or error. It is
 // exported so tests and in-process users can serve a net.Pipe end directly.
+// It returns only after every pipelined spill ack has resolved and the ack
+// writer has exited, so nothing of the connection outlives it.
 func (s *Server) ServeConn(nc net.Conn) error {
 	s.metrics.conns.Inc()
 	s.metrics.activeConns.Inc()
 	defer s.metrics.activeConns.Dec()
-	c := &serverConn{srv: s, nc: nc, db: newDescDB(s.metrics)}
-	err := c.run()
+	c := &serverConn{srv: s, nc: nc, out: nc, db: newDescDB(s.metrics)}
+	err := c.serve()
 	c.teardown()
 	_ = nc.Close()
 	if err == io.EOF || errors.Is(err, net.ErrClosed) {
@@ -256,13 +258,81 @@ func (s *Server) ServeConn(nc net.Conn) error {
 	return err
 }
 
+// serve runs the handler loop; on a server with a spill tier it brackets the
+// loop with the ack writer's start and join.
+func (c *serverConn) serve() error {
+	s := c.srv
+	if s.cfg.Mode != ModeAsync || s.cfg.Spill == nil {
+		return c.run()
+	}
+	c.acks = make(chan pipelinedAck, maxPipelinedAcks)
+	c.slots = make(chan struct{}, maxPipelinedAcks)
+	var ackWriter sync.WaitGroup
+	ackWriter.Add(1)
+	go func() {
+		defer ackWriter.Done()
+		c.writeAcks()
+	}()
+	err := c.run()
+	// The spill tier resolves every submitted record exactly once, so taking
+	// every slot waits out the unresolved acks; after that no sender is left
+	// and the queue can close.
+	for i := 0; i < maxPipelinedAcks; i++ {
+		c.slots <- struct{}{}
+	}
+	close(c.acks)
+	ackWriter.Wait()
+	return err
+}
+
+// maxPipelinedAcks bounds how many spilled writes one connection may have
+// submitted to the spill tier and not yet answered; at the bound the handler
+// stops reading frames until a reply leaves. It bounds the memory the
+// connection's uncommitted records pin in the spill tier's cohorts, and —
+// acks being a channel of exactly this capacity — guarantees the spill
+// tier's committer never blocks handing an ack over. 16 is twice the
+// per-connection depth of the burst benchmark; a client with a deeper window
+// is served 16 spilled writes at a time.
+const maxPipelinedAcks = 16
+
+// pipelinedAck is the reply to one spilled write, built when the spill tier
+// resolves the record and written by the connection's ack writer.
+type pipelinedAck struct {
+	reqID uint64
+	flags uint16
+	errno Errno
+	n     int64
+	op    int       // opIndex, for the request-latency histogram
+	start time.Time // header decoded
+	acked time.Time // record resolved: the reply stage runs from here
+}
+
 // serverConn is the per-connection handler — the role of the per-CN ZOID
 // thread. It decodes requests sequentially; whether it executes them itself
-// or hands them to the worker pool depends on the server mode.
+// or hands them to the worker pool depends on the server mode. Replies to
+// spilled writes are pipelined: the handler submits the record and goes back
+// to reading, and the ack writer sends the reply once the spill tier has
+// made the record durable — so replies can leave out of request order (the
+// client demultiplexes by request id).
 type serverConn struct {
 	srv *Server
 	nc  net.Conn
 	db  *descDB
+
+	// wmu is the reply lock: a response frame is written whole under it, so
+	// the handler's inline replies and the ack writer's batches never
+	// interleave on the wire. out is nc's write side; every use holds wmu.
+	wmu sync.Mutex
+	out io.Writer
+
+	// Pipelined spill acks; nil on a server without a spill tier. slots
+	// holds one token per spilled write submitted and not yet answered; acks
+	// carries resolved replies from the spill tier to the ack writer.
+	acks  chan pipelinedAck
+	slots chan struct{}
+	// pipelined is set by handleWrite when the current op's reply was left
+	// to the ack writer, which then also observes its latency.
+	pipelined bool
 }
 
 func (c *serverConn) run() (err error) {
@@ -311,9 +381,66 @@ func (c *serverConn) reply(reqID uint64, flags uint16, errno Errno, value int64,
 		m.replyErrors.Inc()
 	}
 	t0 := time.Now()
-	err := writeFrame(c.nc, &h, payload)
+	c.wmu.Lock()
+	err := writeFrame(c.out, &h, payload)
+	c.wmu.Unlock()
 	m.stageReply.Observe(time.Since(t0).Nanoseconds())
 	return err
+}
+
+// send writes already-encoded response frames under the reply lock.
+func (c *serverConn) send(frames []byte) error {
+	c.wmu.Lock()
+	_, err := c.out.Write(frames)
+	c.wmu.Unlock()
+	return err
+}
+
+// writeAcks is the connection's ack writer: it drains the completion queue
+// the spill tier fills, encodes every ack that is ready into one buffer and
+// sends them with a single write, then frees their slots. It runs on its
+// own goroutine because the spill tier's committer must never write to a
+// client socket — one stalled client would stall every connection's
+// durability. Exits when ServeConn closes the queue.
+func (c *serverConn) writeAcks() {
+	m := c.srv.metrics
+	batch := make([]pipelinedAck, 0, maxPipelinedAcks)
+	wire := make([]byte, 0, maxPipelinedAcks*headerSize)
+	for a := range c.acks {
+		batch = append(batch[:0], a)
+	gather:
+		for {
+			select {
+			case a, ok := <-c.acks:
+				if !ok {
+					break gather
+				}
+				batch = append(batch, a)
+			default:
+				break gather
+			}
+		}
+		wire = wire[:len(batch)*headerSize]
+		for i, a := range batch {
+			h := header{flags: a.flags, reqID: a.reqID, offset: uint64(a.n), pathLen: uint16(a.errno)}
+			h.encode((*[headerSize]byte)(wire[i*headerSize:]))
+			if a.errno != EOK {
+				m.replyErrors.Inc()
+			}
+		}
+		err := c.send(wire)
+		now := time.Now()
+		for _, a := range batch {
+			m.stageReply.Observe(now.Sub(a.acked).Nanoseconds())
+			m.reqLatency[a.op].Observe(now.Sub(a.start).Nanoseconds())
+			<-c.slots
+		}
+		if err != nil {
+			// The handler learns of a dead connection from its next read;
+			// make sure there is one to fail.
+			_ = c.nc.Close()
+		}
+	}
 }
 
 // replyFrame sends a response whose payload already sits in a BML-leased
@@ -334,10 +461,10 @@ func (c *serverConn) replyFrame(reqID uint64, flags uint16, errno Errno, frame [
 	if errno != EOK {
 		m.replyErrors.Inc()
 	}
+	m.zeroCopyReplies.Inc() // before the write: the client may act on the reply at once
 	t0 := time.Now()
-	_, err := c.nc.Write(frame[:headerSize+n])
+	err := c.send(frame[:headerSize+n])
 	m.stageReply.Observe(time.Since(t0).Nanoseconds())
-	m.zeroCopyReplies.Inc()
 	c.srv.bml.Put(frame)
 	return err
 }
@@ -351,13 +478,18 @@ func deferredFlags(d *descriptor) (uint16, Errno) {
 }
 
 // dispatch times the whole request (header decoded to reply written) into
-// the per-op latency histogram around handleOp.
+// the per-op latency histogram around handleOp. A pipelined spilled write's
+// reply is written later by the ack writer, which observes it then.
 func (c *serverConn) dispatch(h *header) error {
 	m := c.srv.metrics
 	i := opIndex(h.op)
 	m.requests[i].Inc()
 	start := time.Now()
 	err := c.handleOp(h, start)
+	if c.pipelined {
+		c.pipelined = false
+		return err
+	}
 	m.reqLatency[i].Observe(time.Since(start).Nanoseconds())
 	return err
 }
@@ -521,27 +653,50 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	// staged op, so reads, fsync, and close drain it and its failure
 	// surfaces as a deferred error.
 	//
+	// The handler only submits: Submit fixes the record's place in the log
+	// and copies the payload out, and the handler returns to the next frame
+	// while the reply waits for the record to become durable — a connection
+	// with several writes in flight feeds them all to one group commit.
+	//
 	// Ordering: the spill drainer is a second executor outside the
 	// descriptor's scheduler shard, so while any of the descriptor's
 	// spilled records are still live in the WAL (replayable by a crash
 	// recovery), subsequent writes — pooled or not — also route through
 	// the WAL: its per-name FIFO keeps two acknowledged writes to the same
-	// offset ordered, both live and across a restart replay.
+	// offset ordered, both live and across a restart replay. spillStart
+	// happens at submit, so that holds for writes behind an unresolved ack.
 	if s.cfg.Mode == ModeAsync && s.cfg.Spill != nil && (!pooled || d.spillPending()) {
+		c.slots <- struct{}{} // parks while maxPipelinedAcks are unanswered
 		d.start()
 		d.spillStart()
-		serr := s.cfg.Spill.Append(d.name, off, buf,
-			func(e error) { d.complete(opNum, e) }, d.spillRelease)
+		reqID, op := h.reqID, opIndex(h.op) // h is reused for the next frame
+		serr := s.cfg.Spill.Submit(d.name, off, buf, func(err error) {
+			ack := pipelinedAck{reqID: reqID, n: n, op: op, start: start, acked: time.Now()}
+			m.stageSpill.Observe(ack.acked.Sub(recvd).Nanoseconds())
+			if err != nil {
+				// The record's batch never reached the disk: it is not in the
+				// log and will not be applied. Answer EIO and unwind so
+				// drain/close do not wait for it. No late fallback write — a
+				// successor may already have committed on a newer segment and
+				// must not be overtaken.
+				d.spillRelease()
+				d.complete(opNum, nil)
+				ack.errno, ack.n = toErrno(err), 0
+			} else {
+				m.spilled.Inc()
+				// Deferred flags are folded in only now, after the record
+				// landed.
+				ack.flags, ack.errno = deferredFlags(d)
+				ack.flags |= FlagStaged | FlagSpilled
+			}
+			c.acks <- ack // never blocks: this write holds one of cap(acks) slots
+		}, func(e error) { d.complete(opNum, e) }, d.spillRelease)
 		if serr == nil {
-			m.spilled.Inc()
-			m.stageSpill.Observe(time.Since(recvd).Nanoseconds())
-			putBuf() // the spiller copied the payload into its frame
-			// Deferred flags are folded in only after the append landed, so
-			// a refused spill leaves the pending error for the fallback
-			// reply below to report.
-			flags, errno := deferredFlags(d)
-			return c.reply(h.reqID, flags|FlagStaged|FlagSpilled, errno, n, nil)
+			putBuf() // the spiller copied the payload into its log buffer
+			c.pipelined = true
+			return nil
 		}
+		<-c.slots
 		d.spillRelease()       // undo spillStart: the record never entered the log
 		d.complete(opNum, nil) // undo start: ditto
 		m.spillRejects.Inc()

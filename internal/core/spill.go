@@ -4,33 +4,41 @@ package core
 // (implemented by internal/wal.Log). When staging-pool admission times out,
 // the server offers the write here instead of degrading straight to the
 // synchronous path: an accepted record is durably logged and the write is
-// acknowledged immediately, burst-buffer style.
+// acknowledged as soon as it is durable, burst-buffer style.
 //
-// Append must either (a) return nil and later invoke done exactly once with
-// the terminal backend write's result, or (b) return a non-nil error and
-// never invoke either callback — in which case the server falls back to the
-// synchronous degrade path. done may be called from another goroutine; the
-// server routes it into the descriptor's deferred-error bookkeeping, so
-// spilled writes report failures on a later operation exactly like staged
-// ones.
+// Submit is a pure enqueue, in the paper's sense (§IV): take the payload,
+// queue the work, unblock the requester's path. It returns once the record's
+// place in the log is fixed and data has been copied out — the connection
+// handler goes straight back to reading the next frame — and everything that
+// takes time happens behind it:
 //
-// Append may block its caller for a bounded batching window: under group
-// commit the record joins a cohort and parks until a leader has made the
-// whole cohort durable with one shared fsync. A nil return still means
-// exactly what it meant before — this record is durable (to the log's
-// configured sync policy) and acknowledged — and the done/released
-// callback semantics are unchanged. Callers on a latency-sensitive path
-// must treat Append as a potentially-parking call, never as a pure
-// enqueue.
+//   - Submit order on one descriptor is log order, drain order and crash
+//     replay order (per-descriptor FIFO).
+//   - acked is invoked exactly once: with nil when the record is durable to
+//     the log's sync policy (acked ⇒ durable; the server writes the client's
+//     reply from here, never earlier), or with the commit error when the
+//     batch it shared failed to reach the disk. A failed record is not in the
+//     log and will never be applied; the server answers that write with EIO
+//     and unwinds its bookkeeping. acked may run on the spiller's committer
+//     goroutine or inline before Submit returns, so it must not block — it
+//     must never write to a client socket itself, or one stalled client
+//     would stall every connection's durability.
+//   - done is invoked exactly once, after a nil ack, with the terminal
+//     backend write's result; the server routes it into the descriptor's
+//     deferred-error bookkeeping, so spilled writes report failures on a
+//     later operation exactly like staged ones.
+//   - released, when non-nil, is invoked at most once, strictly after done,
+//     when the record's durable copy has left the log (its segment was
+//     truncated after the backend was flushed). Until it fires, a crash
+//     recovery could re-apply the record; the server therefore keeps routing
+//     the descriptor's subsequent writes through the spill tier — whose
+//     per-name FIFO keeps them ordered, both live and across a replay —
+//     rather than racing them on another executor (see descriptor ordering
+//     contract in descdb.go).
 //
-// released, when non-nil, is invoked at most once, strictly after done,
-// when the record's durable copy has left the log (its segment was
-// truncated after the backend was flushed). Until it fires, a crash
-// recovery could re-apply the record; the server therefore keeps routing
-// the descriptor's subsequent writes through the spill tier — whose
-// per-name FIFO keeps them ordered, both live and across a replay — rather
-// than racing them on another executor (see descriptor ordering contract
-// in descdb.go).
+// A non-nil return is a refusal (full, closed, oversize): the record was not
+// taken, no callback will ever be invoked, and the server falls back to the
+// synchronous degrade path.
 type Spiller interface {
-	Append(name string, off int64, data []byte, done func(error), released func()) error
+	Submit(name string, off int64, data []byte, acked, done func(error), released func()) error
 }

@@ -4,34 +4,45 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeSpill is a controllable Spiller: it records appends and lets the test
-// decide when (and with what error) each drain completes.
+// fakeSpill is a controllable Spiller: it records submits, acknowledges
+// each one inline (as the WAL does outside group commit) unless holdAcks is
+// set, and lets the test decide when (and with what error) each ack and each
+// drain completes.
 type fakeSpill struct {
-	mu      sync.Mutex
-	refuse  error // returned from Append when non-nil (done never called)
-	appends []spillRec
+	mu       sync.Mutex
+	refuse   error // returned from Submit when non-nil (no callback ever called)
+	holdAcks bool  // leave acked to the test instead of firing it inline
+	appends  []spillRec
 }
 
 type spillRec struct {
 	name     string
 	off      int64
 	data     []byte
+	acked    func(error)
 	done     func(error)
 	released func()
 }
 
-func (f *fakeSpill) Append(name string, off int64, data []byte, done func(error), released func()) error {
+func (f *fakeSpill) Submit(name string, off int64, data []byte, acked, done func(error), released func()) error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.refuse != nil {
+		f.mu.Unlock()
 		return f.refuse
 	}
-	f.appends = append(f.appends, spillRec{name, off, append([]byte(nil), data...), done, released})
+	f.appends = append(f.appends, spillRec{name, off, append([]byte(nil), data...), acked, done, released})
+	hold := f.holdAcks
+	f.mu.Unlock()
+	if !hold {
+		acked(nil)
+	}
 	return nil
 }
 
@@ -43,6 +54,34 @@ func (f *fakeSpill) take(t *testing.T, i int) spillRec {
 		t.Fatalf("spiller saw %d appends, want at least %d", len(f.appends), i+1)
 	}
 	return f.appends[i]
+}
+
+// waitSubmits blocks until the spiller has seen n submits and returns them
+// in submit order.
+func (f *fakeSpill) waitSubmits(t *testing.T, n int) []spillRec {
+	t.Helper()
+	waitFor(t, 5*time.Second, fmt.Sprintf("%d spill submits", n), func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return len(f.appends) >= n
+	})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]spillRec(nil), f.appends[:n]...)
+}
+
+// writeResults runs n concurrent WriteAts of one BML class each, at offsets
+// i*minBMLClass, and returns a channel per write that yields its error.
+func writeResults(f *File, n int) []chan error {
+	res := make([]chan error, n)
+	for i := range res {
+		res[i] = make(chan error, 1)
+		go func(i int) {
+			_, err := f.WriteAt(bytes.Repeat([]byte{byte(0x10 + i)}, minBMLClass), int64(i*minBMLClass))
+			res[i] <- err
+		}(i)
+	}
+	return res
 }
 
 // spillPair builds an async server whose one-class BML the test can plug, so
@@ -278,4 +317,234 @@ func TestStageAttribution(t *testing.T) {
 		}
 		fs.take(t, 0).done(nil)
 	})
+	// A pipelined write is measured when it is answered, not when the
+	// handler moves on: the spill stage runs payload-received → acked, so it
+	// contains the wait for the commit, and request latency still means
+	// header decoded → reply written.
+	t.Run("spill-pipelined", func(t *testing.T) {
+		const commitWait = 20 * time.Millisecond
+		fs := &fakeSpill{holdAcks: true}
+		c, s := spillPair(t, fs)
+		f, err := c.Open(context.Background(), "burst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := writeResults(f, 1)
+		rec := fs.waitSubmits(t, 1)[0]
+		m := s.metrics
+		wr := m.reqLatency[opIndex(OpPwrite)]
+		time.Sleep(commitWait) // the record's wait for its commit turn
+		if m.stageSpill.Count() != 0 || wr.Count() != 0 || m.spilled.Value() != 0 {
+			t.Fatalf("unacked write already measured: spill stage %d, latency %d, spilled %d",
+				m.stageSpill.Count(), wr.Count(), m.spilled.Value())
+		}
+		replies := m.stageReply.Count()
+		rec.acked(nil)
+		if err := <-res[0]; err != nil {
+			t.Fatal(err)
+		}
+		// The ack writer observes just after the reply leaves.
+		waitFor(t, 5*time.Second, "the ack writer to observe the reply", func() bool {
+			return wr.Count() == 1 && m.stageReply.Count() == replies+1
+		})
+		if m.stageSpill.Count() != 1 || m.spilled.Value() != 1 {
+			t.Fatalf("acked write: spill stage %d, spilled %d, want 1/1", m.stageSpill.Count(), m.spilled.Value())
+		}
+		if got := time.Duration(m.stageSpill.Sum()); got < commitWait {
+			t.Fatalf("spill stage %v does not contain the %v commit wait", got, commitWait)
+		}
+		if wr.Sum() < m.stageSpill.Sum() {
+			t.Fatalf("request latency %dns shorter than its spill stage %dns", wr.Sum(), m.stageSpill.Sum())
+		}
+		rec.done(nil)
+	})
+}
+
+// TestSpillAcksArePipelined is the head-of-line regression at the handler:
+// with no ack resolved, the handler must still read and submit every write
+// the client has in flight, in wire order per descriptor — and a Sync issued
+// behind them waits for them. Then acks resolve out of order and every
+// write is answered exactly once.
+func TestSpillAcksArePipelined(t *testing.T) {
+	const n = 8
+	fs := &fakeSpill{holdAcks: true}
+	c, s := spillPair(t, fs)
+	f, err := c.Open(context.Background(), "burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := writeResults(f, n)
+	recs := fs.waitSubmits(t, n) // all submitted, none acked
+	if got := s.Stats().Spilled; got != 0 {
+		t.Fatalf("%d writes counted as spilled before any ack", got)
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- f.Sync() }()
+	for i := n - 1; i >= 0; i-- { // acks resolve in reverse submit order
+		select {
+		case err := <-synced:
+			t.Fatalf("fsync returned (%v) behind %d unresolved spilled writes", err, i+1)
+		default:
+		}
+		recs[i].acked(nil)
+		recs[i].done(nil)
+	}
+	for i := range res {
+		if err := <-res[i]; err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if err := <-synced; err != nil {
+		t.Fatalf("fsync behind pipelined acks: %v", err)
+	}
+	if got := s.Stats().Spilled; got != n {
+		t.Fatalf("spilled=%d, want %d", got, n)
+	}
+}
+
+// TestSpillPipelineBound: with maxPipelinedAcks writes unanswered the
+// handler stops reading frames; one reply leaving admits exactly one more.
+func TestSpillPipelineBound(t *testing.T) {
+	const n = maxPipelinedAcks + 2
+	fs := &fakeSpill{holdAcks: true}
+	c, _ := spillPair(t, fs)
+	f, err := c.Open(context.Background(), "burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := writeResults(f, n)
+	recs := fs.waitSubmits(t, maxPipelinedAcks)
+	time.Sleep(20 * time.Millisecond) // room for a handler that ignores the bound to overshoot
+	fs.mu.Lock()
+	got := len(fs.appends)
+	fs.mu.Unlock()
+	if got != maxPipelinedAcks {
+		t.Fatalf("handler submitted %d writes with none answered, bound is %d", got, maxPipelinedAcks)
+	}
+	recs[0].acked(nil)
+	recs[0].done(nil)
+	fs.waitSubmits(t, maxPipelinedAcks+1)
+	fs.mu.Lock()
+	fs.holdAcks = false // the rest ack inline
+	fs.mu.Unlock()
+	for _, rec := range fs.waitSubmits(t, maxPipelinedAcks+1)[1:] {
+		rec.acked(nil)
+	}
+	for i := range res {
+		if err := <-res[i]; err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	for _, rec := range fs.waitSubmits(t, n)[1:] {
+		rec.done(nil)
+	}
+}
+
+// TestSpillCommitFailureRepliesEIO: when a record's batch fails to commit,
+// exactly that write is answered EIO — never acknowledged, never applied,
+// no late fallback write — its bookkeeping unwinds so the descriptor still
+// drains, and the next write spills normally.
+func TestSpillCommitFailureRepliesEIO(t *testing.T) {
+	fs := &fakeSpill{holdAcks: true}
+	c, s := spillPair(t, fs)
+	f, err := c.Open(context.Background(), "burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := writeResults(f, 3)
+	recs := fs.waitSubmits(t, 3)
+	commitErr := fmt.Errorf("%w: syncing batch: injected", EIO)
+	for _, rec := range recs {
+		i := int(rec.off / minBMLClass)
+		if i == 0 {
+			rec.acked(nil)
+			if err := <-res[i]; err != nil {
+				t.Fatalf("committed write: %v", err)
+			}
+			rec.done(nil)
+			rec.released()
+			continue
+		}
+		rec.acked(commitErr)
+		if err := <-res[i]; !errors.Is(err, EIO) {
+			t.Fatalf("write %d on the failed batch: err = %v, want EIO", i, err)
+		}
+	}
+	if st := s.Stats(); st.Spilled != 1 || st.Degraded != 0 {
+		t.Fatalf("stats: spilled=%d degraded=%d, want 1/0 (no late fallback)", st.Spilled, st.Degraded)
+	}
+	if got, _ := s.cfg.Backend.(*MemBackend).Bytes("burst"); len(got) != 0 {
+		t.Fatalf("%d bytes reached the backend: the failed records must not be applied (the fake never drains)", len(got))
+	}
+	// The failed writes were unwound: nothing in flight, nothing deferred.
+	if err := f.Sync(); err != nil {
+		t.Fatalf("fsync after commit failure: %v", err)
+	}
+	if v := s.metrics.deferredErrors.Value(); v != 0 {
+		t.Fatalf("commit failure also raised %d deferred errors; the client already heard EIO", v)
+	}
+	fs.mu.Lock()
+	fs.holdAcks = false
+	fs.mu.Unlock()
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0x77}, minBMLClass), 0); err != nil {
+		t.Fatalf("write after commit failure: %v", err)
+	}
+	if st := s.Stats(); st.Spilled != 2 {
+		t.Fatalf("spilled=%d after the follow-up write, want 2", st.Spilled)
+	}
+	fs.take(t, 3).done(nil)
+}
+
+// TestSpillConnDropWaitsForAcks: a connection that dies with acks
+// outstanding is not torn down under them — ServeConn returns only once
+// every submitted record has resolved and the ack writer has exited, and the
+// staging pool is back to the plug alone.
+func TestSpillConnDropWaitsForAcks(t *testing.T) {
+	const n = 4
+	fs := &fakeSpill{holdAcks: true}
+	s := NewServer(Config{
+		Mode: ModeAsync, Workers: 1, BMLBytes: minBMLClass, BMLTimeout: time.Millisecond,
+		Backend: NewMemBackend(), Spill: fs,
+	})
+	defer s.Close()
+	plug := s.bml.Get(minBMLClass)
+	defer s.bml.Put(plug)
+	cc, sc := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- s.ServeConn(sc) }()
+	c := NewClient(cc)
+	f, err := c.Open(context.Background(), "burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := writeResults(f, n)
+	recs := fs.waitSubmits(t, n)
+	_ = c.Close() // the connection drops with every ack outstanding
+	for i := range res {
+		if err := <-res[i]; err == nil {
+			t.Fatalf("write %d succeeded on a dropped connection with its ack unresolved", i)
+		}
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("ServeConn returned (%v) with %d acks unresolved", err, n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if used := s.bml.Used(); used != minBMLClass {
+		t.Fatalf("staging pool holds %d bytes with the handler gone, want the %d-byte plug alone", used, minBMLClass)
+	}
+	for _, rec := range recs {
+		rec.acked(nil)
+		rec.done(nil)
+	}
+	// ServeConn joins the ack writer before returning, so its return is the
+	// no-leak proof; -race would flag a writer touching the closed conn late.
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn did not return after every ack resolved")
+	}
+	if got := s.metrics.activeConns.Value(); got != 0 {
+		t.Fatalf("%d connections still active", got)
+	}
 }

@@ -12,11 +12,12 @@
 // The package's durability logic is deterministic by design: fsync pacing
 // under SyncInterval is append-count-driven, crash points for recovery
 // drills are injected through Config.Crash as a pure function of the
-// operation sequence (see internal/core/fault.CrashSet), and the only
-// long-lived goroutine, the drainer, is WaitGroup-joined by Close. The
-// single exception is the group-commit linger window (Config.GroupLinger,
-// see group.go): a bounded real-time wait that only changes how appends
-// share an fsync, never what is on disk or what replay produces.
+// operation sequence (see internal/core/fault.CrashSet), and the two
+// long-lived goroutines, the drainer and (under group commit) the
+// committer, are WaitGroup-joined by Close. The single exception is the
+// group-commit linger window (Config.GroupLinger, see group.go): a bounded
+// real-time wait that only changes how records share an fsync, never what
+// is on disk or what replay produces.
 package wal
 
 import (
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -159,16 +161,23 @@ const recWrite = 1
 // recHeaderLen returns the record header size for a name.
 func recHeaderLen(name string) int { return 1 + 2 + len(name) + 8 }
 
-// encodeRecordHeader builds the record header for a write of dataLen bytes
-// at off on name. The data itself follows as a separate frame part so the
-// payload is never copied twice.
-func encodeRecordHeader(name string, off int64) []byte {
-	hdr := make([]byte, recHeaderLen(name))
-	hdr[0] = recWrite
-	binary.BigEndian.PutUint16(hdr[1:], uint16(len(name)))
-	at := 3 + copy(hdr[3:], name)
-	binary.BigEndian.PutUint64(hdr[at:], uint64(off))
-	return hdr
+// appendRecordFrame appends one write record's whole frame — frame header,
+// record header, data — to dst and returns the extended slice. The data is
+// copied exactly once, straight to its final position (a cohort's batch
+// buffer), and the CRC is computed over the bytes in place.
+func appendRecordFrame(dst []byte, name string, off int64, data []byte) []byte {
+	start := len(dst)
+	n := recHeaderLen(name) + len(data)
+	dst = slices.Grow(dst, frameHeader+n)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = append(dst, 0, 0, 0, 0) // crc, filled in below
+	dst = append(dst, recWrite)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(off))
+	dst = append(dst, data...)
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+frameHeader:], castagnoli))
+	return dst
 }
 
 // decodeRecord splits a frame payload into its record fields. A payload

@@ -216,11 +216,13 @@ func runBurst(t *testing.T, addr string, nData int) []bool {
 	return acked
 }
 
-// runBurstConcurrent plugs the BML, then lets `workers` goroutines — one
-// connection each — write disjoint regions of "data" until the daemon
-// dies. Concurrent spilled appends are what group commit batches into
-// cohorts; each worker's WriteAt return is its ack, recorded per record.
-func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int) []bool {
+// runBurstConcurrent plugs the BML, then lets `workers` goroutines write
+// disjoint regions of "data" until the daemon dies — one connection each,
+// or, with shared, all through one connection, where only pipelined acks
+// let their records share a cohort. Concurrent spilled appends are what
+// group commit batches into cohorts; each worker's WriteAt return is its
+// ack, recorded per record.
+func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int, shared bool) []bool {
 	t.Helper()
 	c, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
 	if err != nil {
@@ -237,16 +239,26 @@ func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int) []boo
 		}
 	}
 	acked := make([]bool, workers*perWorker)
+	var sharedConn *core.Client
+	if shared {
+		if sharedConn, err = core.Dial("tcp", addr, core.WithTimeout(5*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		defer sharedConn.Close()
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wc, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
-			if err != nil {
-				return // the daemon died before this worker connected
+			wc := sharedConn
+			if wc == nil {
+				var err error
+				if wc, err = core.Dial("tcp", addr, core.WithTimeout(5*time.Second)); err != nil {
+					return // the daemon died before this worker connected
+				}
+				defer wc.Close()
 			}
-			defer wc.Close()
 			f, err := wc.Open(context.Background(), "data")
 			if err != nil {
 				return
@@ -311,9 +323,12 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		plugLat  time.Duration
 		nData    int
 		// group runs fwdd with -wal-group=true; concurrent drives the burst
-		// with 8 worker connections so spilled appends actually share cohorts.
+		// with 8 writers so spilled appends actually share cohorts — one
+		// connection each, or with oneConn all 8 on a single connection, so
+		// acked ⇒ durable is proven for pipelined acks.
 		group      bool
 		concurrent bool
+		oneConn    bool
 		// wantUnacked requires the crash to interrupt the burst itself
 		// (append-side points); drain-side points fire after the burst.
 		wantUnacked bool
@@ -354,6 +369,19 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		{name: "after-batch-sync-before-ack", crash: "after-batch-sync-before-ack:3", segBytes: 8 << 20,
 			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true,
 			wantUnacked: true},
+		// The same three batch-level points with the 8 writers sharing one
+		// connection: their records meet in a cohort only because the
+		// handler submits without waiting, and every reply the client saw
+		// was written after its cohort's fsync.
+		{name: "mid-batch-append-one-conn", crash: "mid-batch-append:3", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true, oneConn: true,
+			wantUnacked: true, wantTorn: true},
+		{name: "before-batch-sync-one-conn", crash: "before-batch-sync:3", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true, oneConn: true,
+			wantUnacked: true},
+		{name: "after-batch-sync-before-ack-one-conn", crash: "after-batch-sync-before-ack:3", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true, oneConn: true,
+			wantUnacked: true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -365,7 +393,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			d1 := startFwdd(t, crashArgs(root, walDir, tc.segBytes, tc.plugLat, tc.crash, tc.group)...)
 			var acked []bool
 			if tc.concurrent {
-				acked = runBurstConcurrent(t, d1.addr, 8, tc.nData/8)
+				acked = runBurstConcurrent(t, d1.addr, 8, tc.nData/8, tc.oneConn)
 			} else {
 				acked = runBurst(t, d1.addr, tc.nData)
 			}

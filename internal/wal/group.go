@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -10,12 +9,15 @@ import (
 
 // Group commit: under SyncAlways every append used to pay its own fsync,
 // serialised on l.mu — the exact small-synchronous-write shape the paper's
-// forwarding layer exists to absorb. With Config.GroupCommit, concurrent
-// appends instead join a cohort. The first joiner is the leader; followers
-// add their frames to the cohort's buffer and park. The leader writes the
-// whole buffer with one positional append, fsyncs once, then publishes
-// every member to the drain queue before any member unparks — the cohort
-// is acknowledged all-or-nothing, and the fsync cost is shared.
+// forwarding layer exists to absorb. With Config.GroupCommit, Submit instead
+// encodes the record into the open cohort's buffer — that fixes its place in
+// the log — and returns; one committer goroutine owned by the Log takes
+// cohorts off cohortQ in creation order, writes each whole buffer with one
+// positional append, fsyncs once, publishes every member to the drain queue,
+// and only then fires the members' acked callbacks. The cohort is
+// acknowledged all-or-nothing, the fsync cost is shared, and whatever is
+// submitted while one cohort fsyncs forms the next — no submitter ever waits
+// inside the log, so one caller can have a whole burst in a single cohort.
 //
 // Cohorts commit in creation order (FIFO per segment). That ordering is a
 // durability requirement, not a fairness nicety: recovery stops scanning a
@@ -23,196 +25,186 @@ import (
 // and the process died in between, N+1's acked records would sit beyond
 // N's hole and be discarded. A cohort also never straddles a segment
 // rotation — rotation seals the open cohort on the old segment and the
-// triggering append starts a fresh cohort on the new one — so a cohort's
+// triggering submit starts a fresh cohort on the new one — so a cohort's
 // frames are always one contiguous reserved region of one file.
 type cohort struct {
-	seq  uint64
 	seg  *segment
 	base int64 // segment offset where the cohort's frames land
 	buf  []byte
 	recs []record
+	acks []func(error) // recs[i]'s commit acknowledgement
 
-	sealed   bool
-	woken    bool
-	sealedCh chan struct{} // closed on wake or seal; ends a leader's linger
-	done     chan struct{} // closed once published or failed
-	err      error
-	failed   bool
+	// readied is set when lingering can gain the cohort nothing more: it was
+	// sealed, or it holds every record in flight. ready is made only by a
+	// committer that decided to linger, and closed when readied is set.
+	readied bool
+	ready   chan struct{}
 }
 
-// wakeLocked ends the leader's linger without closing the cohort to new
-// members: joins keep accumulating until the leader reaches its commit
-// turn and seals. Idempotent.
-func (c *cohort) wakeLocked() {
-	if !c.woken {
-		c.woken = true
-		close(c.sealedCh)
-	}
-}
-
-// appendGrouped is Append's group-commit path: join (or lead) the open
-// cohort, reserve the frame's region of the active segment, and park until
-// the cohort's leader has made the whole batch durable.
-func (l *Log) appendGrouped(name string, off int64, data []byte, frame []byte, done func(error), released func()) error {
-	l.inflight.Add(1)
-	defer l.inflight.Add(-1)
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.cfg.MaxBytes > 0 && l.liveBytes+int64(len(frame)) > l.cfg.MaxBytes {
-		live := l.liveBytes
-		l.mu.Unlock()
-		return fmt.Errorf("%w: %d live + %d frame > %d cap", ErrFull, live, len(frame), l.cfg.MaxBytes)
-	}
-	if l.active.size > 0 && l.active.size+int64(len(frame)) > l.cfg.SegmentBytes {
-		// Seal-then-rotate: the open cohort stays whole on the old segment
-		// and this append starts a new cohort on the fresh one.
-		l.sealCohortLocked()
-		if err := l.rotateLocked(); err != nil {
-			l.appendErrors.Inc()
-			l.mu.Unlock()
-			return err
+func (c *cohort) readyLocked() {
+	if !c.readied {
+		c.readied = true
+		if c.ready != nil {
+			close(c.ready)
 		}
+	}
+}
+
+// submitGrouped is Submit's group-commit path: reserve the frame's region
+// of the active segment, encode the record straight into the open cohort's
+// buffer (starting a cohort if none is open), and return — the committer
+// acknowledges it.
+func (l *Log) submitGrouped(name string, off int64, data []byte, acked, done func(error), released func()) error {
+	// Counted before the lock: a submitter still on its way to the cohort is
+	// the evidence the committer's linger waits on.
+	l.inflight.Add(1)
+	flen := int64(frameHeader + recHeaderLen(name) + len(data))
+	l.mu.Lock()
+	if err := l.admitLocked(flen); err != nil {
+		l.mu.Unlock()
+		l.inflight.Add(-1)
+		return err
 	}
 	c := l.curCohort
-	leader := c == nil
-	if leader {
-		c = &cohort{
-			seq:      l.nextCohortSeq,
-			seg:      l.active,
-			base:     l.active.size,
-			sealedCh: make(chan struct{}),
-			done:     make(chan struct{}),
+	if c == nil {
+		if c = l.spare; c == nil {
+			c = new(cohort)
 		}
-		l.nextCohortSeq++
+		l.spare = nil
+		c.seg, c.base = l.active, l.active.size
 		l.curCohort = c
 		l.cohortQ = append(l.cohortQ, c)
+		l.commitCond.Signal()
 	}
 	seg := c.seg
-	dataPos := seg.size + frameHeader + int64(recHeaderLen(name))
-	c.buf = append(c.buf, frame...)
+	c.buf = appendRecordFrame(c.buf, name, off, data)
 	c.recs = append(c.recs, record{
 		seg: seg, name: name, off: off,
-		dataPos: dataPos, n: len(data), frame: int64(len(frame)),
+		dataPos: seg.size + flen - int64(len(data)), n: len(data), frame: flen,
 		done: done, released: released,
 	})
-	seg.size += int64(len(frame))
+	c.acks = append(c.acks, acked)
+	seg.size += flen
 	seg.reserved++
-	l.liveBytes += int64(len(frame))
+	l.liveBytes += flen
 	if int64(len(c.buf)) >= l.cfg.GroupMaxBytes {
 		l.sealCohortLocked()
 	} else if int64(len(c.recs)) >= l.inflight.Load() {
-		// The cohort holds every append currently in flight: lingering
-		// further cannot gain members, so end the leader's wait now. A lone
-		// writer hits this on its own join (1 >= 1) and skips the window
-		// entirely. The cohort stays open — stragglers arriving before the
-		// leader's commit turn still share this fsync.
-		c.wakeLocked()
+		// The cohort holds every record in flight: lingering further cannot
+		// gain members. It stays open — stragglers arriving before the
+		// committer seals it still share this fsync.
+		c.readyLocked()
 	}
 	l.mu.Unlock()
-
-	if leader {
-		l.lead(c)
-	}
-	<-c.done
-	return c.err
+	return nil
 }
 
 // sealCohortLocked closes the open cohort to new members (byte cap,
-// rotation, or the leader starting its commit). Sealing does not publish:
-// the cohort keeps its reserved region until its commit turn.
+// rotation, Close, or the committer starting its commit). Sealing does not
+// publish: the cohort keeps its reserved region until it commits.
 func (l *Log) sealCohortLocked() {
 	if c := l.curCohort; c != nil {
-		c.sealed = true
-		c.wakeLocked()
+		c.readyLocked()
 		l.curCohort = nil
 	}
 }
 
-// lead runs the leader side of the protocol: optionally linger so
-// concurrent appenders can share the fsync, seal, wait for the cohort's
-// FIFO commit turn, write the whole batch with one buffered append and one
-// fsync, then publish every member before any member is acknowledged.
-func (l *Log) lead(c *cohort) {
-	// Yield once before any linger/seal decision: concurrent appenders that
-	// exist but have not been scheduled yet are invisible to the in-flight
-	// count, and on a single-P runtime a leader that never parks would run
-	// its whole commit before a second writer touched the CPU — every
-	// cohort a singleton no matter how concurrent the workload. One
-	// voluntary reschedule lets runnable appenders reach the open cohort;
-	// on an idle log it returns immediately.
-	runtime.Gosched()
-	if l.cfg.GroupLinger > 0 {
-		// Linger is evidence-driven: the wait ends as soon as the cohort has
-		// captured every in-flight append (the joiner-side wake above), so
-		// only the presence of appenders the cohort has not absorbed yet
-		// keeps the leader here. A lone writer woke its own cohort when it
-		// joined, and this select falls straight through the closed channel.
-		//lint:allow simclock the linger window is a bounded real-time batching heuristic; crash points and replay stay op-ordered
-		timer := time.NewTimer(l.cfg.GroupLinger)
-		select {
-		case <-c.sealedCh:
-		case <-timer.C:
-		}
-		timer.Stop()
-	}
-
+// commitLoop is the committer: the one consumer of cohortQ. For each cohort
+// in creation order it optionally lingers so submitters already on their way
+// can share the fsync, seals, writes the whole batch with one buffered
+// append and one fsync, publishes every member, then fires the acks. It
+// exits once the log is closed and every submitted cohort is resolved.
+func (l *Log) commitLoop() {
+	defer l.wg.Done()
 	l.mu.Lock()
-	for l.commitHead != c.seq && !c.failed {
-		l.commitCond.Wait()
-	}
-	if c.failed {
-		// A predecessor cohort on the same segment failed and took this one
-		// down with it (failCohortsLocked already unparked the members).
+	for {
+		for len(l.cohortQ) == 0 {
+			if l.closed {
+				l.mu.Unlock()
+				return
+			}
+			l.commitCond.Wait()
+		}
+		c := l.cohortQ[0]
+		if !c.readied && int64(len(c.recs)) < l.inflight.Load() {
+			// Linger is evidence-driven: only records submitted but not yet
+			// in a cohort keep the committer here, and the wait ends the
+			// moment the cohort has captured them (or is sealed). A lone
+			// writer's cohort already holds everything in flight and never
+			// waits; members that joined while the previous cohort was
+			// fsyncing commit at once.
+			ready := make(chan struct{})
+			c.ready = ready
+			l.mu.Unlock()
+			//lint:allow simclock the linger window is a bounded real-time batching heuristic; crash points and replay stay op-ordered
+			timer := time.NewTimer(l.cfg.GroupLinger)
+			select {
+			case <-ready:
+			case <-timer.C:
+			}
+			timer.Stop()
+			l.mu.Lock()
+		}
+		if l.curCohort == c {
+			l.sealCohortLocked()
+		}
 		l.mu.Unlock()
-		return
-	}
-	// Seal only now, at the commit turn: members kept joining through the
-	// linger AND through the wait on predecessor commits. That second
-	// window is where group commit earns its keep under contention — every
-	// append that arrives while the previous cohort fsyncs shares this one.
-	if l.curCohort == c {
-		l.sealCohortLocked()
-	}
-	seg := c.seg
-	l.mu.Unlock()
 
-	// The batch write needs no lock: the cohort's region was reserved under
-	// l.mu, nothing else writes there (rotation moved new appends to a new
-	// segment if it sealed us; the drainer only reads published regions),
-	// and commit turns are serialised by commitHead.
-	err := l.writeBatch(seg, c.base, c.buf)
-	if err == nil {
-		l.fire(CrashBeforeBatchSync)
-		if serr := seg.f.Sync(); serr != nil {
-			err = fmt.Errorf("%w: syncing batch: %v", core.EIO, serr)
+		// The batch write needs no lock: the cohort's region was reserved
+		// under l.mu and nothing else writes there (rotation moved new
+		// submits to a new segment if it sealed us; the drainer only reads
+		// published regions).
+		err := l.writeBatch(c.seg, c.base, c.buf)
+		if err == nil {
+			l.fire(CrashBeforeBatchSync)
+			if serr := c.seg.f.Sync(); serr != nil {
+				err = fmt.Errorf("%w: syncing batch: %v", core.EIO, serr)
+			}
+		}
+
+		l.mu.Lock()
+		resolved := []*cohort{c}
+		if err != nil {
+			resolved = l.failCohortsLocked(c, err)
+		} else {
+			l.publishLocked(c)
+		}
+		// Acks run outside l.mu: they are caller code (the server enqueues
+		// the client's reply there).
+		l.mu.Unlock()
+		for _, r := range resolved {
+			for _, ack := range r.acks {
+				ack(err)
+			}
+		}
+		l.mu.Lock()
+		if err == nil && int64(cap(c.buf)) <= 2*l.cfg.GroupMaxBytes {
+			// Keep the cohort's buffers for the next one (an outsized
+			// record's buffer is not worth pinning).
+			clear(c.recs)
+			clear(c.acks)
+			*c = cohort{buf: c.buf[:0], recs: c.recs[:0], acks: c.acks[:0]}
+			l.spare = c
 		}
 	}
+}
 
-	l.mu.Lock()
-	if err != nil {
-		l.failCohortsLocked(c, err)
-		l.mu.Unlock()
-		return
-	}
+// publishLocked hands a durable cohort — the head of cohortQ — to the
+// drainer.
+func (l *Log) publishLocked(c *cohort) {
 	l.unsynced = 0
 	l.syncs.Inc()
 	l.fsyncBatch.Inc()
 	l.batchOps.Observe(int64(len(c.recs)))
 	l.batchBytes.Observe(int64(len(c.buf)))
-	seg.reserved -= len(c.recs)
-	seg.pending += len(c.recs)
+	c.seg.reserved -= len(c.recs)
+	c.seg.pending += len(c.recs)
 	l.queue = append(l.queue, c.recs...)
 	l.appends.Add(uint64(len(c.recs)))
-	l.cohortQ = l.cohortQ[1:] // c is the head: all predecessors published
-	l.commitHead++
-	l.commitCond.Broadcast()
+	l.inflight.Add(-int64(len(c.recs)))
+	l.cohortQ = l.cohortQ[1:]
 	l.fire(CrashAfterBatchSync)
 	l.cond.Signal()
-	l.mu.Unlock()
-	close(c.done)
 }
 
 // writeBatch lands a cohort's concatenated frames at its reserved region
@@ -238,33 +230,31 @@ func (l *Log) writeBatch(seg *segment, base int64, buf []byte) error {
 	return nil
 }
 
-// failCohortsLocked fails c — whose batch write or fsync failed — plus
-// every queued cohort behind it on the same segment. Commits are FIFO per
-// segment, so the later cohorts' reserved regions sit above c's torn
-// bytes; publishing them would strand acked records behind a hole that
-// recovery's first-tear scan discards. The segment is rewound to c.base so
-// the region is reused; cohorts on newer segments (after a rotation) are
-// untouched and commit normally once commitHead skips past the failures.
-func (l *Log) failCohortsLocked(c *cohort, err error) {
+// failCohortsLocked fails c — the head of cohortQ, whose batch write or
+// fsync failed — plus every queued cohort behind it on the same segment,
+// and returns them for the committer to acknowledge with the error. Commits
+// are FIFO per segment, so the later cohorts' reserved regions sit above
+// c's torn bytes; publishing them would strand acked records behind a hole
+// that recovery's first-tear scan discards. The segment is rewound to
+// c.base so the region is reused; cohorts on newer segments (after a
+// rotation) are untouched and commit normally.
+func (l *Log) failCohortsLocked(c *cohort, err error) []*cohort {
 	seg := c.seg
-	for len(l.cohortQ) > 0 && l.cohortQ[0].seg == seg {
-		f := l.cohortQ[0]
-		l.cohortQ = l.cohortQ[1:]
+	n := 0
+	for n < len(l.cohortQ) && l.cohortQ[n].seg == seg {
+		f := l.cohortQ[n]
+		n++
 		if l.curCohort == f {
 			l.curCohort = nil
 		}
-		f.sealed = true
-		f.wakeLocked()
-		f.failed = true
-		f.err = err
 		seg.reserved -= len(f.recs)
 		l.liveBytes -= int64(len(f.buf))
 		l.appendErrors.Add(uint64(len(f.recs)))
-		l.commitHead = f.seq + 1
-		close(f.done)
+		l.inflight.Add(-int64(len(f.recs)))
 	}
+	failed := l.cohortQ[:n:n]
+	l.cohortQ = l.cohortQ[n:]
 	seg.size = c.base
-	l.commitCond.Broadcast()
 	if seg.pending == 0 && seg.reserved == 0 {
 		// No future drain completion will visit this segment, so hand it to
 		// the drainer explicitly: releases and file lifecycle are
@@ -274,4 +264,5 @@ func (l *Log) failCohortsLocked(c *cohort, err error) {
 	// Wake the drainer unconditionally: if the log is closed, the emptied
 	// cohort queue may be what it is waiting on to exit.
 	l.cond.Signal()
+	return failed
 }

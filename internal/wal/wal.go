@@ -179,20 +179,21 @@ type Log struct {
 	closed      bool
 
 	// Group-commit state (see group.go). cohortQ holds created but not yet
-	// published cohorts in seq order; commitHead is the seq whose commit
-	// turn it is; curCohort is the open (joinable) cohort, always the tail
-	// of cohortQ; sweeps are segments orphaned by a cohort failure that the
-	// drainer must finish (no drain completion will visit them).
-	curCohort     *cohort
-	cohortQ       []*cohort
-	nextCohortSeq uint64
-	commitHead    uint64
-	commitCond    *sync.Cond // signalled when commitHead advances
-	sweeps        []*segment
-	draining      int // records taken off the queue, not yet applied
-	// inflight counts goroutines currently inside appendGrouped — the
-	// population a lingering leader can still hope to capture. The linger
-	// heuristic reads it without l.mu.
+	// resolved cohorts in creation order, consumed from the head by the
+	// committer goroutine; curCohort is the open (joinable) cohort, always
+	// the tail of cohortQ; spare is the last committed cohort, emptied, kept
+	// so the next one reuses its buffers; sweeps are segments orphaned by a
+	// cohort failure that the drainer must finish (no drain completion will
+	// visit them).
+	curCohort  *cohort
+	cohortQ    []*cohort
+	commitCond *sync.Cond // signalled when cohortQ gains a cohort, and on close
+	spare      *cohort
+	sweeps     []*segment
+	draining   int // records taken off the queue, not yet applied
+	// inflight counts records that entered submitGrouped and are not yet
+	// committed, failed or refused — the population a lingering committer
+	// can still hope to capture. The linger heuristic reads it without l.mu.
 	inflight atomic.Int64
 
 	wg sync.WaitGroup
@@ -301,6 +302,10 @@ func Open(cfg Config) (*Log, RecoverStats, error) {
 	}
 	l.wg.Add(1)
 	go l.drain()
+	if cfg.GroupCommit {
+		l.wg.Add(1)
+		go l.commitLoop()
+	}
 	return l, stats, nil
 }
 
@@ -446,20 +451,31 @@ func (l *Log) openActive() error {
 	return nil
 }
 
-// Append durably stages one positional write and returns once the record
-// is in the log (synced per policy). done is invoked exactly once from the
-// drainer with the backend write's result — nil on success, the wrapped
-// error otherwise — mirroring the deferred-error semantics of the staged
-// async path. released, when non-nil, is invoked at most once, strictly
-// after done, when the record's durable copy has left the log (its segment
-// was removed or rewound after a backend flush): until then the record
-// could be re-applied by a crash recovery, so the caller must not let a
-// conflicting write reach the backend by another path. If Append returns a
-// non-nil error the record was NOT logged, neither callback will ever be
+// Submit orders one positional write into the log and returns as soon as
+// its place is fixed and data has been copied — the caller may reuse data
+// and submit the next record at once; records reach the log, the drainer
+// and a crash replay in Submit order. acked is invoked exactly once, from
+// any goroutine and possibly before Submit returns: with nil once the
+// record is durable (synced per policy) and published to the drainer, or
+// with the commit error when its batch write or fsync failed — the record
+// is then not in the log and done/released never fire. Under group commit
+// the committer goroutine calls acked, so it must not block: a stalled
+// callback stalls every later record's durability.
+//
+// done is invoked exactly once from the drainer with the backend write's
+// result — nil on success, the wrapped error otherwise — mirroring the
+// deferred-error semantics of the staged async path. released, when
+// non-nil, is invoked at most once, strictly after done, when the record's
+// durable copy has left the log (its segment was removed or rewound after a
+// backend flush): until then the record could be re-applied by a crash
+// recovery, so the caller must not let a conflicting write reach the
+// backend by another path. If Submit returns a non-nil error the record
+// was refused (closed, full, oversize, or — outside group commit, where the
+// write and fsync run inline — an I/O error), no callback will ever be
 // called, and the caller must fall back to its non-spill path.
 //
-// Append implements core.Spiller.
-func (l *Log) Append(name string, off int64, data []byte, done func(error), released func()) error {
+// Submit implements core.Spiller.
+func (l *Log) Submit(name string, off int64, data []byte, acked, done func(error), released func()) error {
 	if name == "" || len(name) > 1<<16-1 {
 		return fmt.Errorf("%w: bad record name length %d", core.EINVAL, len(name))
 	}
@@ -469,49 +485,81 @@ func (l *Log) Append(name string, off int64, data []byte, done func(error), rele
 	if payload := recHeaderLen(name) + len(data); payload > MaxFramePayload {
 		return fmt.Errorf("%w: record payload %d exceeds frame limit %d", core.EINVAL, payload, MaxFramePayload)
 	}
-	frame := encodeFrame(encodeRecordHeader(name, off), data)
 	if l.cfg.GroupCommit {
-		return l.appendGrouped(name, off, data, frame, done, released)
+		return l.submitGrouped(name, off, data, acked, done, released)
 	}
 
+	// Without group commit the record commits inline, under the lock.
+	frame := appendRecordFrame(nil, name, off, data)
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	if err := l.admitLocked(int64(len(frame))); err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	seg := l.active
+	err := l.writeFrameLocked(seg, frame)
+	if err == nil {
+		// On a sync failure the frame hit the file but its durability is
+		// unknown; seg.size stays where it was so the next append overwrites
+		// the orphan and recovery at worst idempotently re-applies it.
+		err = l.syncPolicyLocked(seg)
+	}
+	if err != nil {
+		l.appendErrors.Inc()
+		l.mu.Unlock()
+		return err
+	}
+	seg.pending++
+	l.liveBytes += int64(len(frame))
+	l.queue = append(l.queue, record{
+		seg: seg, name: name, off: off,
+		dataPos: seg.size + int64(len(frame)-len(data)), n: len(data), frame: int64(len(frame)),
+		done: done, released: released,
+	})
+	seg.size += int64(len(frame))
+	l.appends.Inc()
+	l.fire(CrashAfterAppend)
+	l.cond.Signal()
+	l.mu.Unlock()
+	acked(nil)
+	return nil
+}
+
+// Append is Submit plus the wait: it returns nil once the record is durable
+// and published, and otherwise the refusal or commit error — either way a
+// non-nil return means the record is not in the log and neither callback
+// will fire.
+func (l *Log) Append(name string, off int64, data []byte, done func(error), released func()) error {
+	var ack struct {
+		sync.WaitGroup
+		err error
+	}
+	ack.Add(1)
+	if err := l.Submit(name, off, data, func(err error) { ack.err = err; ack.Done() }, done, released); err != nil {
+		return err
+	}
+	ack.Wait()
+	return ack.err
+}
+
+// admitLocked is the submit-time gate: refuse when closed or past the byte
+// cap, and rotate when the frame would overflow the active segment —
+// sealing the open cohort first, so it stays whole on the old segment and
+// the triggering record starts a new cohort on the fresh one.
+func (l *Log) admitLocked(frame int64) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.cfg.MaxBytes > 0 && l.liveBytes+int64(len(frame)) > l.cfg.MaxBytes {
-		return fmt.Errorf("%w: %d live + %d frame > %d cap", ErrFull, l.liveBytes, len(frame), l.cfg.MaxBytes)
+	if l.cfg.MaxBytes > 0 && l.liveBytes+frame > l.cfg.MaxBytes {
+		return fmt.Errorf("%w: %d live + %d frame > %d cap", ErrFull, l.liveBytes, frame, l.cfg.MaxBytes)
 	}
-	if l.active.size > 0 && l.active.size+int64(len(frame)) > l.cfg.SegmentBytes {
+	if l.active.size > 0 && l.active.size+frame > l.cfg.SegmentBytes {
+		l.sealCohortLocked()
 		if err := l.rotateLocked(); err != nil {
 			l.appendErrors.Inc()
 			return err
 		}
 	}
-	seg := l.active
-	if err := l.writeFrameLocked(seg, frame); err != nil {
-		l.appendErrors.Inc()
-		return err
-	}
-	if err := l.syncPolicyLocked(seg); err != nil {
-		// The frame hit the file but its durability is unknown; leave
-		// seg.size where it was so the next append overwrites the orphan
-		// and recovery at worst idempotently re-applies it.
-		l.appendErrors.Inc()
-		return err
-	}
-	dataPos := seg.size + frameHeader + int64(recHeaderLen(name))
-	seg.size += int64(len(frame))
-	seg.pending++
-	l.liveBytes += int64(len(frame))
-	l.queue = append(l.queue, record{
-		seg: seg, name: name, off: off,
-		dataPos: dataPos, n: len(data), frame: int64(len(frame)),
-		done: done, released: released,
-	})
-	l.appends.Inc()
-	l.fire(CrashAfterAppend)
-	l.cond.Signal()
 	return nil
 }
 
@@ -828,9 +876,10 @@ func (l *Log) fire(point string) {
 	}
 }
 
-// Close stops appends, waits for the drainer to apply every queued record,
-// and releases the files. A fully drained log leaves an empty active
-// segment behind; recovery of an empty segment is a no-op.
+// Close stops submits, waits for the committer to resolve every submitted
+// record (each acked exactly once) and for the drainer to apply every
+// published one, and releases the files. A fully drained log leaves an
+// empty active segment behind; recovery of an empty segment is a no-op.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -838,7 +887,11 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	// No submit can join any more: seal the open cohort so the committer
+	// does not linger on it, and let it resolve everything queued.
+	l.sealCohortLocked()
 	l.cond.Broadcast()
+	l.commitCond.Broadcast()
 	l.mu.Unlock()
 	l.wg.Wait()
 
