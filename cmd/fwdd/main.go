@@ -18,7 +18,7 @@
 // point for recovery drills.
 //
 //	fwdd -bml-timeout 20ms -wal-dir /tmp/fwd-wal -wal-sync always
-//	fwdd -wal-dir /tmp/fwd-wal -crash after-append:3
+//	fwdd -wal-dir /tmp/fwd-wal -crash after-batch-sync-before-ack:3
 //
 // Striped + replicated multi-backend tier (internal/stripetier):
 //
@@ -44,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"strings"
 
@@ -80,10 +79,7 @@ func main() {
 	walSync := flag.String("wal-sync", wal.SyncInterval, "WAL fsync policy: always | interval | never")
 	walSegment := flag.Int64("wal-segment", 8<<20, "WAL segment rotation size in bytes")
 	walMax := flag.Int64("wal-max", 0, "cap on WAL bytes awaiting drain; past it spills degrade to the sync path (0 = unlimited)")
-	walGroup := flag.Bool("wal-group", true, "group commit: batch concurrent spill appends into one fsync under -wal-sync always (no effect on other policies)")
-	walGroupLinger := flag.Duration("wal-group-linger", 200*time.Microsecond, "how long a group-commit leader waits for followers when traffic is concurrent")
-	walGroupBytes := flag.Int64("wal-group-bytes", 1<<20, "seal a group-commit batch once its frames reach this size")
-	crashSpec := flag.String("crash", "", "deterministic crash points for recovery drills, e.g. after-append:3,before-truncate:1 — SIGKILLs the process at the Nth hit (needs -wal-dir)")
+	crashSpec := flag.String("crash", "", "deterministic crash points for recovery drills, e.g. mid-batch-append:3,before-truncate:1 — SIGKILLs the process at the Nth hit (needs -wal-dir); one of: "+strings.Join(wal.CrashPoints, ", "))
 	flag.Parse()
 
 	var m core.Mode
@@ -194,7 +190,7 @@ func main() {
 	// can observe pre-recovery state.
 	var spill *wal.Log
 	if *walDir != "" {
-		cs, err := fault.ParseCrash(*crashSpec)
+		cs, err := fault.ParseCrash(*crashSpec, wal.CrashPoints)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fwdd: %v\n", err)
 			os.Exit(2)
@@ -205,15 +201,12 @@ func main() {
 			log.Printf("fwdd: crash points armed: %s", *crashSpec)
 		}
 		walCfg := wal.Config{
-			Dir:           *walDir,
-			Backend:       backend,
-			SegmentBytes:  *walSegment,
-			Sync:          *walSync,
-			MaxBytes:      *walMax,
-			Crash:         crash,
-			GroupCommit:   *walGroup,
-			GroupLinger:   *walGroupLinger,
-			GroupMaxBytes: *walGroupBytes,
+			Dir:          *walDir,
+			Backend:      backend,
+			SegmentBytes: *walSegment,
+			Sync:         *walSync,
+			MaxBytes:     *walMax,
+			Crash:        crash,
 		}
 		if tier != nil {
 			// Drain-into-repair: a spilled record whose drain or recovery
@@ -235,11 +228,7 @@ func main() {
 			log.Printf("fwdd: wal recovery: %d segments scanned, %d records replayed, %d torn tails discarded, %d apply errors",
 				rstats.Segments, rstats.Replayed, rstats.Torn, rstats.Errors)
 		}
-		group := "off"
-		if *walGroup && *walSync == wal.SyncAlways {
-			group = fmt.Sprintf("on (linger=%s, batch<=%d B)", *walGroupLinger, *walGroupBytes)
-		}
-		log.Printf("fwdd: wal spill tier at %s (sync=%s, segment=%d B, group-commit %s)", *walDir, *walSync, *walSegment, group)
+		log.Printf("fwdd: wal spill tier at %s (sync=%s, segment=%d B)", *walDir, *walSync, *walSegment)
 	} else if *crashSpec != "" {
 		fmt.Fprintln(os.Stderr, "fwdd: -crash needs -wal-dir")
 		os.Exit(2)

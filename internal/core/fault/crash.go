@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,8 +12,8 @@ import (
 
 // CrashSet schedules deterministic process kills at named crash points —
 // the recovery-drill side of fault injection. Code under test (the WAL
-// spill tier) calls Fire("after-append") etc. at its crash points; a
-// CrashSet armed with "after-append:3" SIGKILLs the process on the third
+// spill tier) calls Fire("before-truncate") etc. at its crash points; a
+// CrashSet armed with "before-truncate:3" SIGKILLs the process on the third
 // hit of that point. The schedule is a pure function of the per-point hit
 // count (an op index, not a clock or an RNG), so a kill/restart drill is
 // exactly reproducible: same workload, same kill site.
@@ -32,11 +33,13 @@ type CrashSet struct {
 
 // ParseCrash builds a CrashSet from a compact flag spec, e.g.
 //
-//	after-append:3,before-truncate:1
+//	mid-batch-append:3,before-truncate:1
 //
 // Each element is point:N, killing at the Nth hit of that point (N >= 1);
-// a bare point name means its first hit.
-func ParseCrash(spec string) (*CrashSet, error) {
+// a bare point name means its first hit. valid is every point the code
+// under test fires: a name outside it would arm a drill that never kills
+// and reads as a pass, so it is rejected.
+func ParseCrash(spec string, valid []string) (*CrashSet, error) {
 	cs := &CrashSet{plan: make(map[string]uint64), hits: make(map[string]uint64)}
 	if spec == "" {
 		return cs, nil
@@ -47,8 +50,8 @@ func ParseCrash(spec string) (*CrashSet, error) {
 			continue
 		}
 		point, ns, hasN := strings.Cut(part, ":")
-		if point == "" {
-			return nil, fmt.Errorf("fault: empty crash point in %q", spec)
+		if !slices.Contains(valid, point) {
+			return nil, fmt.Errorf("fault: unknown crash point %q (valid: %s)", point, strings.Join(valid, ", "))
 		}
 		n := uint64(1)
 		if hasN {

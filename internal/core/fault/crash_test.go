@@ -1,18 +1,22 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 )
 
+// points stands in for the list the code under test exports (wal.CrashPoints).
+var points = []string{"mid-batch-append", "before-truncate", "after-truncate", "p"}
+
 func TestParseCrash(t *testing.T) {
-	cs, err := ParseCrash("after-append:3, before-truncate:1 ,mid-append")
+	cs, err := ParseCrash("mid-batch-append:3, before-truncate:1 ,after-truncate", points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cs.Armed() {
 		t.Fatal("parsed spec is not armed")
 	}
-	want := map[string]uint64{"after-append": 3, "before-truncate": 1, "mid-append": 1}
+	want := map[string]uint64{"mid-batch-append": 3, "before-truncate": 1, "after-truncate": 1}
 	for point, n := range want {
 		if cs.plan[point] != n {
 			t.Fatalf("plan[%s] = %d, want %d", point, cs.plan[point], n)
@@ -24,7 +28,7 @@ func TestParseCrash(t *testing.T) {
 }
 
 func TestParseCrashEmpty(t *testing.T) {
-	cs, err := ParseCrash("")
+	cs, err := ParseCrash("", points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,19 +43,24 @@ func TestParseCrashEmpty(t *testing.T) {
 
 func TestParseCrashErrors(t *testing.T) {
 	for _, spec := range []string{
-		"after-append:0",        // N must be >= 1
-		"after-append:x",        // N must be a number
-		":3",                    // empty point name
-		"mid-append,mid-append", // duplicate point
+		"before-truncate:0",               // N must be >= 1
+		"before-truncate:x",               // N must be a number
+		":3",                              // empty point name
+		"before-truncate,before-truncate", // duplicate point
+		"before-trunctae:1",               // a point nothing fires: the drill could never kill
 	} {
-		if _, err := ParseCrash(spec); err == nil {
+		if _, err := ParseCrash(spec, points); err == nil {
 			t.Fatalf("ParseCrash(%q) accepted a bad spec", spec)
 		}
+	}
+	_, err := ParseCrash("no-such-point", points)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(points, ", ")) {
+		t.Fatalf("unknown point error %v does not list the valid points", err)
 	}
 }
 
 func TestFireKillsAtNthHit(t *testing.T) {
-	cs, err := ParseCrash("p:3")
+	cs, err := ParseCrash("p:3", points)
 	if err != nil {
 		t.Fatal(err)
 	}

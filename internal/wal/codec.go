@@ -13,11 +13,11 @@
 // under SyncInterval is append-count-driven, crash points for recovery
 // drills are injected through Config.Crash as a pure function of the
 // operation sequence (see internal/core/fault.CrashSet), and the two
-// long-lived goroutines, the drainer and (under group commit) the
-// committer, are WaitGroup-joined by Close. The single exception is the
-// group-commit linger window (Config.GroupLinger, see group.go): a bounded
-// real-time wait that only changes how records share an fsync, never what
-// is on disk or what replay produces.
+// long-lived goroutines, the committer and the drainer, are
+// WaitGroup-joined by Close. The single exception is the committer's
+// linger window (Config.GroupLinger, see group.go): a bounded real-time
+// wait that only changes how records share an fsync, never what is on disk
+// or what replay produces.
 package wal
 
 import (

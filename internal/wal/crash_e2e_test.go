@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -67,6 +68,9 @@ func buildFwdd(t *testing.T) string {
 	}
 	return fwddBin
 }
+
+// e2eClient is how every drill connection is configured.
+var e2eClient = core.ClientConfig{Timeout: 5 * time.Second}
 
 var listenRe = regexp.MustCompile(`listening on (127\.0\.0\.1:\d+)`)
 
@@ -157,11 +161,7 @@ func sigkilled(d *daemon) bool {
 }
 
 // crashArgs builds the shared fwdd argument list for one incarnation.
-// group selects the WAL append path: the legacy per-record crash points
-// (mid-append, after-append) only fire with group commit off, the batch
-// points (mid-batch-append, before-batch-sync, after-batch-sync-before-ack)
-// only with it on.
-func crashArgs(root, walDir string, segBytes int64, plugLat time.Duration, crash string, group bool) []string {
+func crashArgs(root, walDir, sync string, segBytes int64, plugLat time.Duration, crash string) []string {
 	args := []string{
 		"-listen", "127.0.0.1:0",
 		"-mode", "async",
@@ -171,9 +171,8 @@ func crashArgs(root, walDir string, segBytes int64, plugLat time.Duration, crash
 		"-backend", "file",
 		"-root", root,
 		"-wal-dir", walDir,
-		"-wal-sync", SyncAlways,
+		"-wal-sync", sync,
 		"-wal-segment", fmt.Sprint(segBytes),
-		fmt.Sprintf("-wal-group=%v", group),
 	}
 	if plugLat > 0 {
 		args = append(args, "-fault", fmt.Sprintf("lat=1:%s,seed=1", plugLat))
@@ -188,7 +187,7 @@ func crashArgs(root, walDir string, segBytes int64, plugLat time.Duration, crash
 // "data" until the daemon dies, returning which records were acknowledged.
 func runBurst(t *testing.T, addr string, nData int) []bool {
 	t.Helper()
-	c, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
+	c, err := e2eClient.Dial(context.Background(), "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +218,11 @@ func runBurst(t *testing.T, addr string, nData int) []bool {
 // runBurstConcurrent plugs the BML, then lets `workers` goroutines write
 // disjoint regions of "data" until the daemon dies — one connection each,
 // or, with shared, all through one connection, where only pipelined acks
-// let their records share a cohort. Concurrent spilled appends are what
-// group commit batches into cohorts; each worker's WriteAt return is its
+// let their records share a cohort. Each worker's WriteAt return is its
 // ack, recorded per record.
 func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int, shared bool) []bool {
 	t.Helper()
-	c, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
+	c, err := e2eClient.Dial(context.Background(), "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +239,7 @@ func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int, share
 	acked := make([]bool, workers*perWorker)
 	var sharedConn *core.Client
 	if shared {
-		if sharedConn, err = core.Dial("tcp", addr, core.WithTimeout(5*time.Second)); err != nil {
+		if sharedConn, err = e2eClient.Dial(context.Background(), "tcp", addr); err != nil {
 			t.Fatal(err)
 		}
 		defer sharedConn.Close()
@@ -254,7 +252,7 @@ func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int, share
 			wc := sharedConn
 			if wc == nil {
 				var err error
-				if wc, err = core.Dial("tcp", addr, core.WithTimeout(5*time.Second)); err != nil {
+				if wc, err = e2eClient.Dial(context.Background(), "tcp", addr); err != nil {
 					return // the daemon died before this worker connected
 				}
 				defer wc.Close()
@@ -280,7 +278,7 @@ func runBurstConcurrent(t *testing.T, addr string, workers, perWorker int, share
 // daemon and checks it byte for byte.
 func verifyRecovered(t *testing.T, addr string, acked []bool) int {
 	t.Helper()
-	c, err := core.Dial("tcp", addr, core.WithTimeout(5*time.Second))
+	c, err := e2eClient.Dial(context.Background(), "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,28 +317,29 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	cases := []struct {
 		name     string
 		crash    string
+		sync     string // -wal-sync; "" means always
 		segBytes int64
 		plugLat  time.Duration
 		nData    int
-		// group runs fwdd with -wal-group=true; concurrent drives the burst
-		// with 8 writers so spilled appends actually share cohorts — one
-		// connection each, or with oneConn all 8 on a single connection, so
-		// acked ⇒ durable is proven for pipelined acks.
-		group      bool
+		// concurrent drives the burst with 8 writers so spilled records
+		// actually share cohorts — one connection each, or with oneConn all 8
+		// on a single connection, so acked ⇒ durable is proven for pipelined
+		// acks. Otherwise one sequential writer: every cohort is a singleton.
 		concurrent bool
 		oneConn    bool
 		// wantUnacked requires the crash to interrupt the burst itself
-		// (append-side points); drain-side points fire after the burst.
+		// (commit-side points); drain-side points fire after the burst.
 		wantUnacked bool
 		wantTorn    bool
 	}{
-		// Killed halfway through writing the 8th spilled frame: the tail is
-		// torn, records 1..7 were acknowledged and must survive.
-		{name: "mid-append", crash: "mid-append:8", segBytes: 8 << 20,
+		// One writer, killed one byte short of finishing the 8th record's
+		// write: the tail is torn, records 1..7 were acknowledged and must
+		// survive.
+		{name: "mid-batch-append-sequential", crash: "mid-batch-append:8", segBytes: 8 << 20,
 			plugLat: 3 * time.Second, nData: 24, wantUnacked: true, wantTorn: true},
-		// Killed after the 8th frame landed but before its reply: the acked
-		// prefix plus possibly one unacked record recover.
-		{name: "after-append", crash: "after-append:8", segBytes: 8 << 20,
+		// Killed after the 8th record was synced but before its reply: the
+		// acked prefix plus one unacked record recover.
+		{name: "after-batch-sync-before-ack-sequential", crash: "after-batch-sync-before-ack:8", segBytes: 8 << 20,
 			plugLat: 3 * time.Second, nData: 24, wantUnacked: true},
 		// One record per segment; killed when the drainer finished the first
 		// segment but before removing it — replay must be idempotent.
@@ -350,47 +349,56 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		// already be fsynced on the backend (the drainer's durability rule).
 		{name: "after-truncate", crash: "after-truncate:1", segBytes: 4 << 10,
 			plugLat: 1200 * time.Millisecond, nData: 12},
-		// Group-commit arm: 8 concurrent writers, batched cohorts. Killed
-		// one byte short of finishing the 3rd batch write: the cohort is
-		// torn on disk and none of its members were acknowledged, so
-		// recovery discards the tear and every acked record still reads back.
+		// 8 concurrent writers, shared cohorts. Killed one byte short of
+		// finishing the 3rd batch write: the cohort is torn on disk and none
+		// of its members were acknowledged, so recovery discards the tear and
+		// every acked record still reads back.
 		{name: "mid-batch-append", crash: "mid-batch-append:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true,
+			plugLat: 3 * time.Second, nData: 24, concurrent: true,
 			wantUnacked: true, wantTorn: true},
 		// Killed after the 3rd batch reached the file but before its fsync:
 		// earlier (acked) cohorts must survive; batch 3 was never acked and
 		// may or may not replay.
 		{name: "before-batch-sync", crash: "before-batch-sync:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true,
+			plugLat: 3 * time.Second, nData: 24, concurrent: true,
 			wantUnacked: true},
-		// Killed after the 3rd batch's fsync but before any member unparked:
+		// Killed after the 3rd batch's fsync but before any member's ack:
 		// the whole cohort is durable yet unacknowledged — all-or-nothing at
 		// the ack level means recovery may replay all of it, never half.
 		{name: "after-batch-sync-before-ack", crash: "after-batch-sync-before-ack:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true,
+			plugLat: 3 * time.Second, nData: 24, concurrent: true,
 			wantUnacked: true},
 		// The same three batch-level points with the 8 writers sharing one
 		// connection: their records meet in a cohort only because the
 		// handler submits without waiting, and every reply the client saw
 		// was written after its cohort's fsync.
 		{name: "mid-batch-append-one-conn", crash: "mid-batch-append:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true, oneConn: true,
+			plugLat: 3 * time.Second, nData: 24, concurrent: true, oneConn: true,
 			wantUnacked: true, wantTorn: true},
 		{name: "before-batch-sync-one-conn", crash: "before-batch-sync:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true, oneConn: true,
+			plugLat: 3 * time.Second, nData: 24, concurrent: true, oneConn: true,
 			wantUnacked: true},
 		{name: "after-batch-sync-before-ack-one-conn", crash: "after-batch-sync-before-ack:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, group: true, concurrent: true, oneConn: true,
+			plugLat: 3 * time.Second, nData: 24, concurrent: true, oneConn: true,
 			wantUnacked: true},
+		// fwdd's default policy commits through the same path: most commits
+		// skip the fsync, the torn cohort is still unacknowledged, and a
+		// process kill (the page cache survives it) loses no acked record.
+		{name: "mid-batch-append-interval", crash: "mid-batch-append:3", sync: SyncInterval, segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 24, concurrent: true,
+			wantUnacked: true, wantTorn: true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			root, walDir := t.TempDir(), t.TempDir()
+			if tc.sync == "" {
+				tc.sync = SyncAlways
+			}
 
 			// Incarnation 1: crash point armed, backend latency holding the
 			// plug in place.
-			d1 := startFwdd(t, crashArgs(root, walDir, tc.segBytes, tc.plugLat, tc.crash, tc.group)...)
+			d1 := startFwdd(t, crashArgs(root, walDir, tc.sync, tc.segBytes, tc.plugLat, tc.crash)...)
 			var acked []bool
 			if tc.concurrent {
 				acked = runBurstConcurrent(t, d1.addr, 8, tc.nData/8, tc.oneConn)
@@ -420,7 +428,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 			// Incarnation 2: same backend root and WAL dir, no crash points,
 			// no chaos — recovery replays survivors before listening.
-			d2 := startFwdd(t, crashArgs(root, walDir, tc.segBytes, 0, "", tc.group)...)
+			d2 := startFwdd(t, crashArgs(root, walDir, tc.sync, tc.segBytes, 0, "")...)
 			verified := verifyRecovered(t, d2.addr, acked)
 			t.Logf("%s: %d/%d acked records byte-exact after kill+restart", tc.name, verified, tc.nData)
 			if tc.wantTorn && !regexp.MustCompile(`\b[1-9]\d* torn tails discarded`).MatchString(d2.stderr()) {
@@ -431,5 +439,30 @@ func TestCrashRecoveryE2E(t *testing.T) {
 				t.Fatalf("restarted fwdd did not shut down cleanly: %v\nstderr:\n%s", err, d2.stderr())
 			}
 		})
+	}
+}
+
+// TestCrashFlagRejectsUnknownPoint: a -crash spec naming a point the WAL
+// never fires — a typo, or a point of the deleted per-record commit path —
+// would arm a drill that cannot kill and reads as a pass. fwdd must refuse
+// it with exit status 2 and name the points that exist.
+func TestCrashFlagRejectsUnknownPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-level drills in -short mode")
+	}
+	for _, spec := range []string{"no-such-point", "mid-append:8", "before-truncate:1,after-apend:3"} {
+		// A daemon that accepts the spec serves until the deadline kills it.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, buildFwdd(t), "-listen", "127.0.0.1:0", "-wal-dir", t.TempDir(), "-crash", spec).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("fwdd -crash %s: %v, want exit status 2\noutput:\n%s", spec, err, out)
+		}
+		for _, point := range CrashPoints {
+			if !bytes.Contains(out, []byte(point)) {
+				t.Fatalf("fwdd -crash %s: rejection does not list valid point %s\noutput:\n%s", spec, point, out)
+			}
+		}
 	}
 }

@@ -5,19 +5,22 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
-// Group commit: under SyncAlways every append used to pay its own fsync,
-// serialised on l.mu — the exact small-synchronous-write shape the paper's
-// forwarding layer exists to absorb. With Config.GroupCommit, Submit instead
-// encodes the record into the open cohort's buffer — that fixes its place in
-// the log — and returns; one committer goroutine owned by the Log takes
-// cohorts off cohortQ in creation order, writes each whole buffer with one
-// positional append, fsyncs once, publishes every member to the drain queue,
+// The commit path: a record reaches a segment file only through here, under
+// every sync policy. A write and an fsync per record, serialised on l.mu, is
+// the exact small-synchronous-write shape the paper's forwarding layer
+// exists to absorb, so Submit only encodes the record into the open cohort's
+// buffer — that fixes its place in the log — and returns; one committer
+// goroutine owned by the Log takes cohorts off cohortQ in creation order,
+// writes each whole buffer with one positional append, fsyncs when the
+// policy asks this commit to, publishes every member to the drain queue,
 // and only then fires the members' acked callbacks. The cohort is
-// acknowledged all-or-nothing, the fsync cost is shared, and whatever is
-// submitted while one cohort fsyncs forms the next — no submitter ever waits
-// inside the log, so one caller can have a whole burst in a single cohort.
+// acknowledged all-or-nothing, the write and fsync cost is shared, and
+// whatever is submitted while one cohort commits forms the next — no
+// submitter ever waits inside the log, so one caller can have a whole burst
+// in a single cohort.
 //
 // Cohorts commit in creation order (FIFO per segment). That ordering is a
 // durability requirement, not a fairness nicety: recovery stops scanning a
@@ -50,55 +53,6 @@ func (c *cohort) readyLocked() {
 	}
 }
 
-// submitGrouped is Submit's group-commit path: reserve the frame's region
-// of the active segment, encode the record straight into the open cohort's
-// buffer (starting a cohort if none is open), and return — the committer
-// acknowledges it.
-func (l *Log) submitGrouped(name string, off int64, data []byte, acked, done func(error), released func()) error {
-	// Counted before the lock: a submitter still on its way to the cohort is
-	// the evidence the committer's linger waits on.
-	l.inflight.Add(1)
-	flen := int64(frameHeader + recHeaderLen(name) + len(data))
-	l.mu.Lock()
-	if err := l.admitLocked(flen); err != nil {
-		l.mu.Unlock()
-		l.inflight.Add(-1)
-		return err
-	}
-	c := l.curCohort
-	if c == nil {
-		if c = l.spare; c == nil {
-			c = new(cohort)
-		}
-		l.spare = nil
-		c.seg, c.base = l.active, l.active.size
-		l.curCohort = c
-		l.cohortQ = append(l.cohortQ, c)
-		l.commitCond.Signal()
-	}
-	seg := c.seg
-	c.buf = appendRecordFrame(c.buf, name, off, data)
-	c.recs = append(c.recs, record{
-		seg: seg, name: name, off: off,
-		dataPos: seg.size + flen - int64(len(data)), n: len(data), frame: flen,
-		done: done, released: released,
-	})
-	c.acks = append(c.acks, acked)
-	seg.size += flen
-	seg.reserved++
-	l.liveBytes += flen
-	if int64(len(c.buf)) >= l.cfg.GroupMaxBytes {
-		l.sealCohortLocked()
-	} else if int64(len(c.recs)) >= l.inflight.Load() {
-		// The cohort holds every record in flight: lingering further cannot
-		// gain members. It stays open — stragglers arriving before the
-		// committer seals it still share this fsync.
-		c.readyLocked()
-	}
-	l.mu.Unlock()
-	return nil
-}
-
 // sealCohortLocked closes the open cohort to new members (byte cap,
 // rotation, Close, or the committer starting its commit). Sealing does not
 // publish: the cohort keeps its reserved region until it commits.
@@ -112,8 +66,9 @@ func (l *Log) sealCohortLocked() {
 // commitLoop is the committer: the one consumer of cohortQ. For each cohort
 // in creation order it optionally lingers so submitters already on their way
 // can share the fsync, seals, writes the whole batch with one buffered
-// append and one fsync, publishes every member, then fires the acks. It
-// exits once the log is closed and every submitted cohort is resolved.
+// append, fsyncs if the policy asks this commit to (syncReasonLocked),
+// publishes every member, then fires the acks. It exits once the log is
+// closed and every submitted cohort is resolved.
 func (l *Log) commitLoop() {
 	defer l.wg.Done()
 	l.mu.Lock()
@@ -126,13 +81,13 @@ func (l *Log) commitLoop() {
 			l.commitCond.Wait()
 		}
 		c := l.cohortQ[0]
-		if !c.readied && int64(len(c.recs)) < l.inflight.Load() {
-			// Linger is evidence-driven: only records submitted but not yet
-			// in a cohort keep the committer here, and the wait ends the
-			// moment the cohort has captured them (or is sealed). A lone
-			// writer's cohort already holds everything in flight and never
-			// waits; members that joined while the previous cohort was
-			// fsyncing commit at once.
+		if l.cfg.Sync == SyncAlways && !c.readied && int64(len(c.recs)) < l.inflight.Load() {
+			// Linger only where members would share an fsync, and only on
+			// evidence: records submitted but not yet in a cohort keep the
+			// committer here, and the wait ends the moment the cohort has
+			// captured them (or is sealed). A lone writer's cohort already
+			// holds everything in flight and never waits; members that
+			// joined while the previous cohort was fsyncing commit at once.
 			ready := make(chan struct{})
 			c.ready = ready
 			l.mu.Unlock()
@@ -155,19 +110,30 @@ func (l *Log) commitLoop() {
 		// submits to a new segment if it sealed us; the drainer only reads
 		// published regions).
 		err := l.writeBatch(c.seg, c.base, c.buf)
-		if err == nil {
+
+		// Whether this commit fsyncs is decided after the write and under the
+		// lock that orders it against rotation: a cohort that skips the fsync
+		// publishes in the same critical section, so its segment cannot be
+		// rotated away between the decision and the records being counted
+		// unsynced.
+		l.mu.Lock()
+		reason := l.syncReasonLocked(c)
+		if err == nil && reason != nil {
+			l.mu.Unlock()
 			l.fire(CrashBeforeBatchSync)
 			if serr := c.seg.f.Sync(); serr != nil {
 				err = fmt.Errorf("%w: syncing batch: %v", core.EIO, serr)
 			}
+			l.mu.Lock()
 		}
-
-		l.mu.Lock()
 		resolved := []*cohort{c}
 		if err != nil {
 			resolved = l.failCohortsLocked(c, err)
 		} else {
 			l.publishLocked(c)
+			if reason != nil {
+				l.syncedLocked(reason)
+			}
 		}
 		// Acks run outside l.mu: they are caller code (the server enqueues
 		// the client's reply there).
@@ -189,12 +155,37 @@ func (l *Log) commitLoop() {
 	}
 }
 
-// publishLocked hands a durable cohort — the head of cohortQ — to the
-// drainer.
-func (l *Log) publishLocked(c *cohort) {
+// syncReasonLocked is the sync policy: it returns the fsync counter that
+// c's commit — c is written, not yet published — must fsync under, or nil
+// when the commit publishes unsynced. SyncAlways fsyncs every commit.
+// SyncInterval fsyncs the commit that brings the unsynced records to
+// SyncEvery, and every commit on a segment already rotated away: nothing
+// lands there after its last queued cohort, so the file is durable once it
+// stops being written. SyncNever never does.
+func (l *Log) syncReasonLocked(c *cohort) *telemetry.Counter {
+	switch {
+	case l.cfg.Sync == SyncAlways:
+		return &l.fsyncBatch
+	case l.cfg.Sync == SyncInterval && c.seg.rotated:
+		return &l.fsyncRotate
+	case l.cfg.Sync == SyncInterval && l.unsynced+len(c.recs) >= l.cfg.SyncEvery:
+		return &l.fsyncInterval
+	}
+	return nil
+}
+
+// syncedLocked accounts one successful segment fsync: everything published
+// so far is durable.
+func (l *Log) syncedLocked(reason *telemetry.Counter) {
 	l.unsynced = 0
 	l.syncs.Inc()
-	l.fsyncBatch.Inc()
+	reason.Inc()
+}
+
+// publishLocked hands a committed cohort — the head of cohortQ — to the
+// drainer. Its records count as unsynced until the next fsync.
+func (l *Log) publishLocked(c *cohort) {
+	l.unsynced += len(c.recs)
 	l.batchOps.Observe(int64(len(c.recs)))
 	l.batchBytes.Observe(int64(len(c.buf)))
 	c.seg.reserved -= len(c.recs)

@@ -87,7 +87,6 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	be := core.NewMemBackend()
 	lg, _, err := Open(Config{
 		Dir: dir, Backend: be, Sync: SyncAlways,
-		GroupCommit:   true,
 		GroupLinger:   10 * time.Second, // commit must come from the byte-cap seal
 		GroupMaxBytes: int64(n * frameLen("obj", payloadLen)),
 	})
@@ -137,7 +136,6 @@ func TestGroupCommitCohortNeverStraddlesRotation(t *testing.T) {
 	lg, _, err := Open(Config{
 		Dir: dir, Backend: be, Sync: SyncAlways,
 		SegmentBytes:  int64(2 * fl),
-		GroupCommit:   true,
 		GroupLinger:   50 * time.Millisecond,
 		GroupMaxBytes: 1 << 20,
 	})
@@ -228,7 +226,6 @@ func TestGroupCommitAllOrNothingAck(t *testing.T) {
 	ackedAtFire.Store(-1)
 	cfg := Config{
 		Dir: dir, Backend: core.NewMemBackend(), Sync: SyncAlways,
-		GroupCommit:   true,
 		GroupLinger:   10 * time.Second,
 		GroupMaxBytes: int64(n * frameLen("obj", payloadLen)),
 		Crash: func(point string) {
@@ -275,7 +272,6 @@ func TestGroupCommitFailureUnparksCohort(t *testing.T) {
 	dir := t.TempDir()
 	lg, _, err := Open(Config{
 		Dir: dir, Backend: core.NewMemBackend(), Sync: SyncAlways,
-		GroupCommit:   true,
 		GroupLinger:   10 * time.Second,
 		GroupMaxBytes: int64(n * frameLen("obj", payloadLen)),
 	})
@@ -334,7 +330,6 @@ func TestGroupCommitSingleWriter(t *testing.T) {
 	be := core.NewMemBackend()
 	lg, _, err := Open(Config{
 		Dir: dir, Backend: be, Sync: SyncAlways,
-		GroupCommit: true,
 		GroupLinger: 10 * time.Second, // would hang the test if a singleton lingered
 	})
 	if err != nil {

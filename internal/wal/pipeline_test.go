@@ -59,7 +59,6 @@ func TestSubmitPipelinesOneCaller(t *testing.T) {
 	be := newGateBackend() // holds the drain so the segment stays on disk
 	lg, _, err := Open(Config{
 		Dir: dir, Backend: be, Sync: SyncAlways,
-		GroupCommit:   true,
 		GroupLinger:   10 * time.Second, // commit must come from the byte-cap seal
 		GroupMaxBytes: int64(n * frameLen("obj", payloadLen)),
 	})
@@ -137,7 +136,6 @@ func TestCloseResolvesEverySubmit(t *testing.T) {
 	be := core.NewMemBackend()
 	lg, _, err := Open(Config{
 		Dir: t.TempDir(), Backend: be, Sync: SyncAlways,
-		GroupCommit: true,
 		GroupLinger: 10 * time.Second, // only Close's seal can end the linger
 	})
 	if err != nil {
@@ -235,7 +233,7 @@ func TestPipelinedAcksOneConnection(t *testing.T) {
 		}
 	}
 	var err error
-	lg, _, err = Open(Config{Dir: t.TempDir(), Backend: be, Sync: SyncAlways, GroupCommit: true, Crash: crash})
+	lg, _, err = Open(Config{Dir: t.TempDir(), Backend: be, Sync: SyncAlways, Crash: crash})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,13 @@ import (
 
 // Sync policy names accepted by Config.Sync (and fwdd's -wal-sync flag).
 const (
-	// SyncAlways fsyncs the active segment after every append: an
-	// acknowledged spill is durable before the client hears about it.
+	// SyncAlways fsyncs at every commit: an acknowledged spill is durable
+	// before the client hears about it.
 	SyncAlways = "always"
-	// SyncInterval fsyncs every Config.SyncEvery appends and at rotation:
-	// the default trade — a crash can lose at most SyncEvery-1 acked
-	// spills' durability, while the common-case append stays one write.
+	// SyncInterval fsyncs the commit that brings the unsynced records to
+	// Config.SyncEvery, and a segment once it stops being written: the
+	// default trade — a crash can lose at most SyncEvery-1 acked spills'
+	// durability, while the common-case commit stays one write.
 	SyncInterval = "interval"
 	// SyncNever leaves flushing to the OS: fastest, crash-unsafe; for
 	// benchmarking the framing cost alone.
@@ -31,16 +32,10 @@ const (
 )
 
 // Crash-point names fired through Config.Crash, in op order. Each fires at
-// a deterministic position in the append/truncate sequence, so a kill
+// a deterministic position in the commit/truncate sequence, so a kill
 // schedule expressed as occurrence counts is reproducible (see
 // fault.CrashSet).
 const (
-	// CrashMidAppend fires between the two halves of a deliberately split
-	// frame write: the on-disk tail is torn mid-record.
-	CrashMidAppend = "mid-append"
-	// CrashAfterAppend fires after a frame is fully written (and synced,
-	// under SyncAlways) but before the caller acknowledges it.
-	CrashAfterAppend = "after-append"
 	// CrashBeforeTruncate fires when a rotated segment's last record has
 	// drained, before the segment file is removed: recovery re-replays the
 	// whole segment (idempotently).
@@ -48,18 +43,26 @@ const (
 	// CrashAfterTruncate fires just after a drained segment is removed.
 	CrashAfterTruncate = "after-truncate"
 	// CrashMidBatchAppend fires between the two halves of a deliberately
-	// split group-commit batch write: the on-disk tail tears mid-cohort,
-	// possibly mid-frame. No cohort member was acked.
+	// split cohort write: the on-disk tail tears mid-cohort, possibly
+	// mid-frame. No cohort member was acked.
 	CrashMidBatchAppend = "mid-batch-append"
 	// CrashBeforeBatchSync fires after a cohort's frames are fully written
-	// but before the batch fsync. No cohort member was acked.
+	// but before the commit's fsync — only at a commit that fsyncs. No
+	// cohort member was acked.
 	CrashBeforeBatchSync = "before-batch-sync"
-	// CrashAfterBatchSync fires after the batch fsync but before any cohort
-	// member is acknowledged: the whole cohort is durable yet no client
-	// heard an ack — recovery replays it all, proving the cohort is
-	// all-or-nothing at the ack level.
+	// CrashAfterBatchSync fires after the commit (and its fsync, when the
+	// policy asked for one) but before any cohort member is acknowledged:
+	// the whole cohort is in the log yet no client heard an ack — recovery
+	// replays it all, proving the cohort is all-or-nothing at the ack level.
 	CrashAfterBatchSync = "after-batch-sync-before-ack"
 )
+
+// CrashPoints lists every name the log passes to Config.Crash, so a drill's
+// schedule can be rejected up front when it names a point that never fires.
+var CrashPoints = []string{
+	CrashBeforeTruncate, CrashAfterTruncate,
+	CrashMidBatchAppend, CrashBeforeBatchSync, CrashAfterBatchSync,
+}
 
 // Config configures a Log.
 type Config struct {
@@ -85,16 +88,13 @@ type Config struct {
 	// constants). Production leaves it nil; the kill/restart harness
 	// installs fault.CrashSet.Fire to SIGKILL the process mid-sequence.
 	Crash func(point string)
-	// GroupCommit batches concurrent SyncAlways appends into cohorts that
-	// share one buffered frame write and one fsync (leader/follower group
-	// commit, see group.go). Ignored under the other sync policies, which
-	// already amortise fsyncs by counting appends.
+	// Deprecated: every record group-commits; kept only because bench/ names it.
 	GroupCommit bool
-	// GroupLinger bounds how long a cohort leader waits for followers
-	// before committing (default 200µs). The wait ends early once the
-	// cohort holds every append currently in flight, so a lone writer's
-	// cohort wakes itself the moment it forms and pays nothing for the
-	// window.
+	// GroupLinger bounds how long the committer waits, under SyncAlways, for
+	// submits already on their way to join a cohort before committing it
+	// (default 200µs). The wait ends early once the cohort holds every
+	// record currently in flight, so a lone writer's cohort commits the
+	// moment it forms and pays nothing for the window.
 	GroupLinger time.Duration
 	// GroupMaxBytes seals a cohort once its buffered frames reach this
 	// size (default 1 MiB); the next append starts a new cohort.
@@ -175,7 +175,7 @@ type Log struct {
 	rotatedSegs []*segment // rotated, still holding undrained records
 	nextSeg     uint64
 	liveBytes   int64
-	unsynced    int // appends since the last fsync (SyncInterval pacing)
+	unsynced    int // records published since the last fsync (SyncInterval pacing)
 	closed      bool
 
 	// Group-commit state (see group.go). cohortQ holds created but not yet
@@ -191,7 +191,7 @@ type Log struct {
 	spare      *cohort
 	sweeps     []*segment
 	draining   int // records taken off the queue, not yet applied
-	// inflight counts records that entered submitGrouped and are not yet
+	// inflight counts records that entered Submit and are not yet
 	// committed, failed or refused — the population a lingering committer
 	// can still hope to capture. The linger heuristic reads it without l.mu.
 	inflight atomic.Int64
@@ -219,10 +219,9 @@ type Log struct {
 	drainErrors  telemetry.Counter
 	truncated    telemetry.Counter
 	syncs        telemetry.Counter
-	// fsyncs by reason: per-append (SyncAlways without group commit),
-	// SyncEvery pacing, rotation seal, and group-commit batch. Their sum
-	// tracks syncs; the split is what shows fsync amortisation working.
-	fsyncAppend   telemetry.Counter
+	// fsyncs by reason: SyncEvery pacing, the seal of a segment that stopped
+	// being written, and the SyncAlways commit. Their sum tracks syncs; the
+	// split is what shows fsync amortisation working.
 	fsyncInterval telemetry.Counter
 	fsyncRotate   telemetry.Counter
 	fsyncBatch    telemetry.Counter
@@ -270,11 +269,6 @@ func Open(cfg Config) (*Log, RecoverStats, error) {
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = defaultSyncEvery
 	}
-	if cfg.Sync != SyncAlways {
-		// Group commit exists to amortise SyncAlways's per-append fsync;
-		// the other policies already batch by counting appends.
-		cfg.GroupCommit = false
-	}
 	if cfg.GroupLinger < 0 {
 		return nil, RecoverStats{}, fmt.Errorf("%w: wal: negative group linger", core.EINVAL)
 	}
@@ -300,12 +294,9 @@ func Open(cfg Config) (*Log, RecoverStats, error) {
 	if err := l.openActive(); err != nil {
 		return nil, stats, err
 	}
-	l.wg.Add(1)
+	l.wg.Add(2)
 	go l.drain()
-	if cfg.GroupCommit {
-		l.wg.Add(1)
-		go l.commitLoop()
-	}
+	go l.commitLoop()
 	return l, stats, nil
 }
 
@@ -456,11 +447,11 @@ func (l *Log) openActive() error {
 // and submit the next record at once; records reach the log, the drainer
 // and a crash replay in Submit order. acked is invoked exactly once, from
 // any goroutine and possibly before Submit returns: with nil once the
-// record is durable (synced per policy) and published to the drainer, or
-// with the commit error when its batch write or fsync failed — the record
-// is then not in the log and done/released never fire. Under group commit
-// the committer goroutine calls acked, so it must not block: a stalled
-// callback stalls every later record's durability.
+// record is committed (synced per policy) and published to the drainer, or
+// with the commit error when its cohort's write or fsync failed — the
+// record is then not in the log and done/released never fire. The committer
+// goroutine calls acked, so it must not block: a stalled callback stalls
+// every later record's durability.
 //
 // done is invoked exactly once from the drainer with the backend write's
 // result — nil on success, the wrapped error otherwise — mirroring the
@@ -470,9 +461,9 @@ func (l *Log) openActive() error {
 // backend flush): until then the record could be re-applied by a crash
 // recovery, so the caller must not let a conflicting write reach the
 // backend by another path. If Submit returns a non-nil error the record
-// was refused (closed, full, oversize, or — outside group commit, where the
-// write and fsync run inline — an I/O error), no callback will ever be
-// called, and the caller must fall back to its non-spill path.
+// was refused (closed, full, oversize, or the rotation it needed failed),
+// no callback will ever be called, and the caller must fall back to its
+// non-spill path.
 //
 // Submit implements core.Spiller.
 func (l *Log) Submit(name string, off int64, data []byte, acked, done func(error), released func()) error {
@@ -485,43 +476,51 @@ func (l *Log) Submit(name string, off int64, data []byte, acked, done func(error
 	if payload := recHeaderLen(name) + len(data); payload > MaxFramePayload {
 		return fmt.Errorf("%w: record payload %d exceeds frame limit %d", core.EINVAL, payload, MaxFramePayload)
 	}
-	if l.cfg.GroupCommit {
-		return l.submitGrouped(name, off, data, acked, done, released)
-	}
 
-	// Without group commit the record commits inline, under the lock.
-	frame := appendRecordFrame(nil, name, off, data)
+	// Reserve the frame's region of the active segment and encode the record
+	// straight into the open cohort's buffer (starting a cohort if none is
+	// open); the committer acknowledges it. inflight is counted before the
+	// lock: a submitter still on its way to the cohort is the evidence the
+	// committer's linger waits on.
+	l.inflight.Add(1)
+	flen := int64(frameHeader + recHeaderLen(name) + len(data))
 	l.mu.Lock()
-	if err := l.admitLocked(int64(len(frame))); err != nil {
+	if err := l.admitLocked(flen); err != nil {
 		l.mu.Unlock()
+		l.inflight.Add(-1)
 		return err
 	}
-	seg := l.active
-	err := l.writeFrameLocked(seg, frame)
-	if err == nil {
-		// On a sync failure the frame hit the file but its durability is
-		// unknown; seg.size stays where it was so the next append overwrites
-		// the orphan and recovery at worst idempotently re-applies it.
-		err = l.syncPolicyLocked(seg)
+	c := l.curCohort
+	if c == nil {
+		if c = l.spare; c == nil {
+			c = new(cohort)
+		}
+		l.spare = nil
+		c.seg, c.base = l.active, l.active.size
+		l.curCohort = c
+		l.cohortQ = append(l.cohortQ, c)
+		l.commitCond.Signal()
 	}
-	if err != nil {
-		l.appendErrors.Inc()
-		l.mu.Unlock()
-		return err
-	}
-	seg.pending++
-	l.liveBytes += int64(len(frame))
-	l.queue = append(l.queue, record{
+	seg := c.seg
+	c.buf = appendRecordFrame(c.buf, name, off, data)
+	c.recs = append(c.recs, record{
 		seg: seg, name: name, off: off,
-		dataPos: seg.size + int64(len(frame)-len(data)), n: len(data), frame: int64(len(frame)),
+		dataPos: seg.size + flen - int64(len(data)), n: len(data), frame: flen,
 		done: done, released: released,
 	})
-	seg.size += int64(len(frame))
-	l.appends.Inc()
-	l.fire(CrashAfterAppend)
-	l.cond.Signal()
+	c.acks = append(c.acks, acked)
+	seg.size += flen
+	seg.reserved++
+	l.liveBytes += flen
+	if int64(len(c.buf)) >= l.cfg.GroupMaxBytes {
+		l.sealCohortLocked()
+	} else if int64(len(c.recs)) >= l.inflight.Load() {
+		// The cohort holds every record in flight: lingering further cannot
+		// gain members. It stays open — stragglers arriving before the
+		// committer seals it still share this commit.
+		c.readyLocked()
+	}
 	l.mu.Unlock()
-	acked(nil)
 	return nil
 }
 
@@ -563,61 +562,18 @@ func (l *Log) admitLocked(frame int64) error {
 	return nil
 }
 
-// writeFrameLocked lands one frame at the segment's append position using
-// positional writes (no seek state to corrupt). When a crash hook is
-// installed the write is split so CrashMidAppend genuinely tears a record
-// on disk.
-func (l *Log) writeFrameLocked(seg *segment, frame []byte) error {
-	if l.cfg.Crash != nil && len(frame) > 1 {
-		half := len(frame) / 2
-		if _, err := seg.f.WriteAt(frame[:half], seg.size); err != nil {
-			return fmt.Errorf("%w: appending frame: %v", core.EIO, err)
-		}
-		l.fire(CrashMidAppend)
-		if _, err := seg.f.WriteAt(frame[half:], seg.size+int64(half)); err != nil {
-			return fmt.Errorf("%w: appending frame: %v", core.EIO, err)
-		}
-		return nil
-	}
-	if _, err := seg.f.WriteAt(frame, seg.size); err != nil {
-		return fmt.Errorf("%w: appending frame: %v", core.EIO, err)
-	}
-	return nil
-}
-
-// syncPolicyLocked applies the fsync policy after an append.
-func (l *Log) syncPolicyLocked(seg *segment) error {
-	switch l.cfg.Sync {
-	case SyncAlways:
-		return l.fsyncLocked(seg, &l.fsyncAppend)
-	case SyncInterval:
-		l.unsynced++
-		if l.unsynced >= l.cfg.SyncEvery {
-			return l.fsyncLocked(seg, &l.fsyncInterval)
-		}
-	}
-	return nil
-}
-
-func (l *Log) fsyncLocked(seg *segment, reason *telemetry.Counter) error {
-	if err := seg.f.Sync(); err != nil {
-		return fmt.Errorf("%w: syncing segment: %v", core.EIO, err)
-	}
-	l.unsynced = 0
-	l.syncs.Inc()
-	reason.Inc()
-	return nil
-}
-
 // rotateLocked seals the active segment and opens a fresh one. Under
-// SyncInterval the sealed segment is synced first, so a segment file is
-// fully durable the moment it stops being written.
+// SyncInterval a segment file is fully durable once it stops being written:
+// with cohorts still queued on it the committer syncs it as each one lands
+// (see commitLoop) — a sync here would run before their bytes do — and
+// otherwise it is synced here, for the records committed unsynced.
 func (l *Log) rotateLocked() error {
 	seg := l.active
-	if l.cfg.Sync == SyncInterval && l.unsynced > 0 {
-		if err := l.fsyncLocked(seg, &l.fsyncRotate); err != nil {
-			return err
+	if l.cfg.Sync == SyncInterval && l.unsynced > 0 && seg.reserved == 0 {
+		if err := seg.f.Sync(); err != nil {
+			return fmt.Errorf("%w: syncing segment: %v", core.EIO, err)
 		}
+		l.syncedLocked(&l.fsyncRotate)
 	}
 	seg.rotated = true
 	switch {
@@ -987,8 +943,6 @@ func (l *Log) Register(reg *telemetry.Registry) {
 		"Segments truncated or removed after draining fully.", &l.truncated)
 	reg.MustRegister("iofwd_wal_syncs_total",
 		"fsyncs of the active segment.", &l.syncs)
-	reg.MustRegister("iofwd_wal_fsyncs_total",
-		"fsyncs of the active segment by reason.", &l.fsyncAppend, telemetry.L("reason", "append"))
 	reg.MustRegister("iofwd_wal_fsyncs_total",
 		"fsyncs of the active segment by reason.", &l.fsyncInterval, telemetry.L("reason", "interval"))
 	reg.MustRegister("iofwd_wal_fsyncs_total",

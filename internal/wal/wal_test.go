@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,6 +157,178 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatalf("policy %s: %d syncs over %d appends", tc.policy, s.Syncs, n)
 			}
 		})
+		// One goroutine submits n records and waits for none: under every
+		// policy they share commits, keep submit order in the log and at the
+		// drain, and each is acked exactly once.
+		t.Run(tc.policy+"/burst", func(t *testing.T) {
+			const n, payloadLen = 64, 8
+			dir := t.TempDir()
+			be := newGateBackend() // holds the drain so the segment stays on disk
+			submitted := make(chan struct{})
+			var gated atomic.Bool
+			lg, _, err := Open(Config{
+				Dir: dir, Backend: be, Sync: tc.policy, SyncEvery: tc.every,
+				// The first commit waits for the whole burst, so the records
+				// behind it are certain to be queued together.
+				Crash: func(point string) {
+					if point == CrashMidBatchAppend && gated.CompareAndSwap(false, true) {
+						<-submitted
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fired [n]atomic.Int32
+			acks := make(chan error, n)
+			var mu sync.Mutex
+			var drainOrder []int
+			for i := 0; i < n; i++ {
+				i := i
+				err := lg.Submit("o", int64(i*payloadLen), pattern(i, payloadLen),
+					func(err error) { fired[i].Add(1); acks <- err },
+					func(error) { mu.Lock(); drainOrder = append(drainOrder, i); mu.Unlock() }, nil)
+				if err != nil {
+					t.Fatalf("submit %d refused: %v", i, err)
+				}
+			}
+			close(submitted)
+			for i := 0; i < n; i++ {
+				if err := <-acks; err != nil {
+					t.Fatalf("ack: %v", err)
+				}
+			}
+			batches, s := lg.batchOps.Count(), lg.SnapshotStats()
+			if batches >= n || lg.batchOps.Sum() != n {
+				t.Fatalf("%d unwaited submits committed as %d records in %d cohorts, want all of them in fewer cohorts",
+					n, lg.batchOps.Sum(), batches)
+			}
+			switch tc.policy {
+			case SyncAlways:
+				if s.Syncs != batches {
+					t.Fatalf("%d fsyncs for %d commits, want one each", s.Syncs, batches)
+				}
+			case SyncInterval:
+				lg.mu.Lock()
+				unsynced := lg.unsynced
+				lg.mu.Unlock()
+				if s.Syncs == 0 || s.Syncs > batches || unsynced >= tc.every {
+					t.Fatalf("%d fsyncs over %d commits left %d records unsynced, want fewer than SyncEvery=%d",
+						s.Syncs, batches, unsynced, tc.every)
+				}
+			case SyncNever:
+				if s.Syncs != 0 {
+					t.Fatalf("%d fsyncs, want none", s.Syncs)
+				}
+			}
+			offs, _ := scanSegments(t, dir)
+			if len(offs) != n {
+				t.Fatalf("segment holds %d records, want %d", len(offs), n)
+			}
+			for i, off := range offs {
+				if off != int64(i*payloadLen) {
+					t.Fatalf("log position %d holds the record submitted %dth: submit order is not log order", i, off/payloadLen)
+				}
+			}
+			be.release()
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range fired {
+				if got := fired[i].Load(); got != 1 {
+					t.Fatalf("record %d acked %d times, want exactly once", i, got)
+				}
+			}
+			for i, got := range drainOrder {
+				if got != i {
+					t.Fatalf("drain position %d applied the record submitted %dth: submit order is not drain order", i, got)
+				}
+			}
+			if len(drainOrder) != n {
+				t.Fatalf("%d records drained, want %d", len(drainOrder), n)
+			}
+		})
+	}
+}
+
+// TestRotatedSegmentSyncedAfterLastCohort: under SyncInterval a segment is
+// durable once it stops being written, also when it is rotated away with
+// cohorts still queued on it — the committer fsyncs each of them as it
+// lands; a sync at the rotation itself would run before their bytes do.
+// With no cohort outstanding the rotation still syncs the segment itself.
+func TestRotatedSegmentSyncedAfterLastCohort(t *testing.T) {
+	const perSeg, segs, payloadLen = 4, 4, 64
+	const n = perSeg*segs + 1 // the last record alone on the active segment
+	dir := t.TempDir()
+	be := newGateBackend() // nothing drains: no segment is rewound or removed
+	submitted := make(chan struct{})
+	var mu sync.Mutex
+	var events []string
+	lg, _, err := Open(Config{
+		Dir: dir, Backend: be, Sync: SyncInterval,
+		SyncEvery:    10 * n, // pacing never asks for an fsync
+		SegmentBytes: int64(perSeg * frameLen("obj", payloadLen)),
+		Crash: func(point string) {
+			mu.Lock()
+			events = append(events, point)
+			first := len(events) == 1
+			mu.Unlock()
+			if first {
+				<-submitted // every rotation happens with this cohort unwritten
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks := make(chan error, n)
+	for i := 0; i < n; i++ {
+		if err := lg.Submit("obj", int64(i*payloadLen), pattern(i, payloadLen), func(err error) { acks <- err }, nil, nil); err != nil {
+			t.Fatalf("submit %d refused: %v", i, err)
+		}
+	}
+	close(submitted)
+	for i := 0; i < n; i++ {
+		if err := <-acks; err != nil {
+			t.Fatalf("ack: %v", err)
+		}
+	}
+	if s := lg.SnapshotStats(); s.Segments != segs+1 {
+		t.Fatalf("%d live segments, want %d (%d rotations)", s.Segments, segs+1, segs)
+	}
+	// Every cohort but the last sat on a segment that was rotated away
+	// before it was written: each is written, then fsynced, then published.
+	// The last is on the active segment and publishes unsynced.
+	rotated := int(lg.batchOps.Count()) - 1
+	var want []string
+	for i := 0; i < rotated; i++ {
+		want = append(want, CrashMidBatchAppend, CrashBeforeBatchSync, CrashAfterBatchSync)
+	}
+	want = append(want, CrashMidBatchAppend, CrashAfterBatchSync)
+	mu.Lock()
+	got := append([]string(nil), events...)
+	mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Fatalf("commit sequence %v, want %v", got, want)
+	}
+	if r, s := lg.fsyncRotate.Value(), lg.syncs.Value(); rotated < segs || r != uint64(rotated) || s != r {
+		t.Fatalf("%d cohorts on %d rotated segments: %d rotate fsyncs of %d total, want one per cohort and no other",
+			rotated, segs, r, s)
+	}
+
+	// A sequential writer fills the active segment; the rotation finds its
+	// records committed unsynced with no cohort outstanding and syncs it.
+	for i := n; i < n+perSeg; i++ {
+		if err := lg.Append("obj", int64(i*payloadLen), pattern(i, payloadLen), nil, nil); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if r := lg.fsyncRotate.Value(); r != uint64(rotated)+1 {
+		t.Fatalf("%d rotate fsyncs after a rotation with unsynced records and no queued cohort, want %d", r, rotated+1)
+	}
+	be.release()
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -519,18 +693,21 @@ func TestCloseDrainsFully(t *testing.T) {
 }
 
 func TestCrashHookFiresInOrder(t *testing.T) {
+	var mu sync.Mutex
 	var fired []string
 	lg, _, err := Open(Config{
 		Dir: t.TempDir(), Backend: core.NewMemBackend(),
-		SegmentBytes: 64, Sync: SyncNever,
-		Crash: func(p string) { fired = append(fired, p) },
+		SegmentBytes: 64, Sync: SyncAlways,
+		// The committer fires the batch points, the drainer (or a rotating
+		// submitter) the truncate points.
+		Crash: func(p string) { mu.Lock(); fired = append(fired, p); mu.Unlock() },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newCollect(2)
-	// Two appends big enough to force a rotation between them; the crash
-	// hook runs under l.mu, so the recorded order is the real op order.
+	// Two appends, each a cohort of one, the second too big to share the
+	// first's segment.
 	if err := lg.Append("o", 0, pattern(0, 48), c.done, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -542,11 +719,23 @@ func TestCrashHookFiresInOrder(t *testing.T) {
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{CrashMidAppend: true, CrashAfterAppend: true}
+	var batch []string
+	truncating := false
 	for _, p := range fired {
-		delete(want, p)
+		switch p {
+		case CrashBeforeTruncate:
+			truncating = true
+		case CrashAfterTruncate:
+			if !truncating {
+				t.Fatalf("after-truncate fired with no before-truncate: %v", fired)
+			}
+			truncating = false
+		default:
+			batch = append(batch, p)
+		}
 	}
-	if len(want) != 0 {
-		t.Fatalf("crash points never fired: %v (saw %v)", want, fired)
+	commit := []string{CrashMidBatchAppend, CrashBeforeBatchSync, CrashAfterBatchSync}
+	if want := append(commit, commit...); !slices.Equal(batch, want) {
+		t.Fatalf("batch points fired as %v, want %v", batch, want)
 	}
 }
