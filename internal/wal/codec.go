@@ -15,7 +15,7 @@
 // operation sequence (see internal/core/fault.CrashSet), and the two
 // long-lived goroutines, the committer and the drainer, are
 // WaitGroup-joined by Close. The single exception is the committer's
-// linger window (Config.GroupLinger, see group.go): a bounded real-time
+// linger window (Config.GroupLinger, see commit.go): a bounded real-time
 // wait that only changes how records share an fsync, never what is on disk
 // or what replay produces.
 package wal

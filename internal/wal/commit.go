@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -51,6 +52,126 @@ func (c *cohort) readyLocked() {
 			close(c.ready)
 		}
 	}
+}
+
+// Submit orders one positional write into the log and returns as soon as
+// its place is fixed and data has been copied — the caller may reuse data
+// and submit the next record at once; records reach the log, the drainer
+// and a crash replay in Submit order. acked is invoked exactly once, from
+// any goroutine and possibly before Submit returns: with nil once the
+// record is committed (synced per policy) and published to the drainer, or
+// with the commit error when its cohort's write or fsync failed — the
+// record is then not in the log and done/released never fire. The committer
+// goroutine calls acked, so it must not block: a stalled callback stalls
+// every later record's durability.
+//
+// done is invoked exactly once from the drainer with the backend write's
+// result — nil on success, the wrapped error otherwise — mirroring the
+// deferred-error semantics of the staged async path. released, when
+// non-nil, is invoked at most once, strictly after done, when the record's
+// durable copy has left the log (its segment was removed or rewound after a
+// backend flush): until then the record could be re-applied by a crash
+// recovery, so the caller must not let a conflicting write reach the
+// backend by another path. If Submit returns a non-nil error the record
+// was refused (closed, full, oversize, or the rotation it needed failed),
+// no callback will ever be called, and the caller must fall back to its
+// non-spill path.
+//
+// Submit implements core.Spiller.
+func (l *Log) Submit(name string, off int64, data []byte, acked, done func(error), released func()) error {
+	if name == "" || len(name) > 1<<16-1 {
+		return fmt.Errorf("%w: bad record name length %d", core.EINVAL, len(name))
+	}
+	if off < 0 {
+		return fmt.Errorf("%w: negative record offset", core.EINVAL)
+	}
+	if payload := recHeaderLen(name) + len(data); payload > MaxFramePayload {
+		return fmt.Errorf("%w: record payload %d exceeds frame limit %d", core.EINVAL, payload, MaxFramePayload)
+	}
+
+	// Reserve the frame's region of the active segment and encode the record
+	// straight into the open cohort's buffer (starting a cohort if none is
+	// open); the committer acknowledges it. inflight is counted before the
+	// lock: a submitter still on its way to the cohort is the evidence the
+	// committer's linger waits on.
+	l.inflight.Add(1)
+	flen := int64(frameHeader + recHeaderLen(name) + len(data))
+	l.mu.Lock()
+	if err := l.admitLocked(flen); err != nil {
+		l.mu.Unlock()
+		l.inflight.Add(-1)
+		return err
+	}
+	c := l.curCohort
+	if c == nil {
+		if c = l.spare; c == nil {
+			c = new(cohort)
+		}
+		l.spare = nil
+		c.seg, c.base = l.active, l.active.size
+		l.curCohort = c
+		l.cohortQ = append(l.cohortQ, c)
+		l.commitCond.Signal()
+	}
+	seg := c.seg
+	c.buf = appendRecordFrame(c.buf, name, off, data)
+	c.recs = append(c.recs, record{
+		seg: seg, name: name, off: off,
+		dataPos: seg.size + flen - int64(len(data)), n: len(data), frame: flen,
+		done: done, released: released,
+	})
+	c.acks = append(c.acks, acked)
+	seg.size += flen
+	seg.reserved++
+	l.liveBytes += flen
+	if int64(len(c.buf)) >= l.cfg.GroupMaxBytes {
+		l.sealCohortLocked()
+	} else if int64(len(c.recs)) >= l.inflight.Load() {
+		// The cohort holds every record in flight: lingering further cannot
+		// gain members. It stays open — stragglers arriving before the
+		// committer seals it still share this commit.
+		c.readyLocked()
+	}
+	l.mu.Unlock()
+	return nil
+}
+
+// Append is Submit plus the wait: it returns nil once the record is durable
+// and published, and otherwise the refusal or commit error — either way a
+// non-nil return means the record is not in the log and neither callback
+// will fire.
+func (l *Log) Append(name string, off int64, data []byte, done func(error), released func()) error {
+	var ack struct {
+		sync.WaitGroup
+		err error
+	}
+	ack.Add(1)
+	if err := l.Submit(name, off, data, func(err error) { ack.err = err; ack.Done() }, done, released); err != nil {
+		return err
+	}
+	ack.Wait()
+	return ack.err
+}
+
+// admitLocked is the submit-time gate: refuse when closed or past the byte
+// cap, and rotate when the frame would overflow the active segment —
+// sealing the open cohort first, so it stays whole on the old segment and
+// the triggering record starts a new cohort on the fresh one.
+func (l *Log) admitLocked(frame int64) error {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.cfg.MaxBytes > 0 && l.liveBytes+frame > l.cfg.MaxBytes {
+		return fmt.Errorf("%w: %d live + %d frame > %d cap", ErrFull, l.liveBytes, frame, l.cfg.MaxBytes)
+	}
+	if l.active.size > 0 && l.active.size+frame > l.cfg.SegmentBytes {
+		l.sealCohortLocked()
+		if err := l.rotateLocked(); err != nil {
+			l.appendErrors.Inc()
+			return err
+		}
+	}
+	return nil
 }
 
 // sealCohortLocked closes the open cohort to new members (byte cap,

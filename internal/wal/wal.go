@@ -1,13 +1,9 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,7 +174,7 @@ type Log struct {
 	unsynced    int // records published since the last fsync (SyncInterval pacing)
 	closed      bool
 
-	// Group-commit state (see group.go). cohortQ holds created but not yet
+	// Group-commit state (see commit.go). cohortQ holds created but not yet
 	// resolved cohorts in creation order, consumed from the head by the
 	// committer goroutine; curCohort is the open (joinable) cohort, always
 	// the tail of cohortQ; spare is the last committed cohort, emptied, kept
@@ -300,135 +296,6 @@ func Open(cfg Config) (*Log, RecoverStats, error) {
 	return l, stats, nil
 }
 
-// recover scans segment files oldest-first, applies intact records to the
-// backend, and removes segments that replayed fully. A torn tail ends that
-// segment's scan (later segments are still processed: a torn tail in an
-// older segment can only exist if the crash tore a write that was never
-// acknowledged, and replay is positional and idempotent either way). A
-// segment with backend apply errors is kept for the next recovery.
-//
-// A segment is removed only after the backend handles it wrote through are
-// fsynced — the same sync-before-truncate order the drainer follows — so a
-// power loss at any point during recovery can never lose an acknowledged
-// spill: either the segment is still on disk or its records are durable on
-// the backend. A sync failure keeps the segment (counted in Errors) rather
-// than failing Open.
-func (l *Log) recover() (RecoverStats, error) {
-	var stats RecoverStats
-	names, err := filepath.Glob(filepath.Join(l.cfg.Dir, segPrefix+"*"+segSuffix))
-	if err != nil {
-		return stats, fmt.Errorf("%w: listing wal dir: %v", core.EIO, err)
-	}
-	sort.Strings(names) // fixed-width hex IDs: lexicographic == numeric
-	handles := make(map[string]core.Handle)
-	defer func() {
-		for _, h := range handles {
-			_ = h.Close()
-		}
-	}()
-	touched := make(map[string]struct{})
-	for _, path := range names {
-		base := filepath.Base(path)
-		idHex := strings.TrimSuffix(strings.TrimPrefix(base, segPrefix), segSuffix)
-		var id uint64
-		if _, err := fmt.Sscanf(idHex, "%x", &id); err != nil {
-			continue // not one of ours
-		}
-		if id >= l.nextSeg {
-			l.nextSeg = id + 1
-		}
-		stats.Segments++
-		clear(touched)
-		clean, err := l.replaySegment(path, handles, touched, &stats)
-		if err != nil {
-			return stats, err
-		}
-		if clean {
-			for name := range touched {
-				if serr := handles[name].Sync(); serr != nil {
-					stats.Errors++
-					l.replayErrors.Inc()
-					clean = false
-					break
-				}
-			}
-		}
-		if clean {
-			if err := os.Remove(path); err != nil {
-				return stats, fmt.Errorf("%w: removing replayed segment: %v", core.EIO, err)
-			}
-		}
-	}
-	return stats, nil
-}
-
-// replaySegment streams one segment's records into the backend, adding
-// every name it writes through to touched. It reports clean=true when
-// every record in the file was applied successfully (the file may then be
-// deleted once the touched handles are synced).
-func (l *Log) replaySegment(path string, handles map[string]core.Handle, touched map[string]struct{}, stats *RecoverStats) (clean bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("%w: opening segment: %v", core.EIO, err)
-	}
-	defer f.Close()
-	clean = true
-	sc := NewScanner(f)
-	for {
-		payload, err := sc.Next()
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			if errors.Is(err, ErrTorn) {
-				stats.Torn++
-				l.torn.Inc()
-				break // everything past a tear is garbage
-			}
-			return false, err
-		}
-		name, off, data, derr := decodeRecord(payload)
-		if derr != nil {
-			stats.Torn++
-			l.torn.Inc()
-			break
-		}
-		h, ok := handles[name]
-		if !ok {
-			h, err = l.cfg.Backend.Open(name, true)
-			if err != nil {
-				stats.Errors++
-				l.replayErrors.Inc()
-				clean = false
-				if l.cfg.DrainFailed != nil {
-					l.drainRepair.Inc()
-					l.cfg.DrainFailed(name, off, len(data))
-				}
-				continue
-			}
-			handles[name] = h
-		}
-		n, werr := h.WriteAt(data, off)
-		touched[name] = struct{}{}
-		if werr == nil && n < len(data) {
-			werr = fmt.Errorf("%w: short replay write (%d of %d bytes)", core.EIO, n, len(data))
-		}
-		if werr != nil {
-			stats.Errors++
-			l.replayErrors.Inc()
-			clean = false
-			if l.cfg.DrainFailed != nil {
-				l.drainRepair.Inc()
-				l.cfg.DrainFailed(name, off, len(data))
-			}
-			continue
-		}
-		stats.Replayed++
-		l.replayed.Inc()
-	}
-	return clean, nil
-}
-
 // openActive creates a fresh active segment.
 func (l *Log) openActive() error {
 	id := l.nextSeg
@@ -439,126 +306,6 @@ func (l *Log) openActive() error {
 		return fmt.Errorf("%w: creating segment: %v", core.EIO, err)
 	}
 	l.active = &segment{id: id, path: path, f: f}
-	return nil
-}
-
-// Submit orders one positional write into the log and returns as soon as
-// its place is fixed and data has been copied — the caller may reuse data
-// and submit the next record at once; records reach the log, the drainer
-// and a crash replay in Submit order. acked is invoked exactly once, from
-// any goroutine and possibly before Submit returns: with nil once the
-// record is committed (synced per policy) and published to the drainer, or
-// with the commit error when its cohort's write or fsync failed — the
-// record is then not in the log and done/released never fire. The committer
-// goroutine calls acked, so it must not block: a stalled callback stalls
-// every later record's durability.
-//
-// done is invoked exactly once from the drainer with the backend write's
-// result — nil on success, the wrapped error otherwise — mirroring the
-// deferred-error semantics of the staged async path. released, when
-// non-nil, is invoked at most once, strictly after done, when the record's
-// durable copy has left the log (its segment was removed or rewound after a
-// backend flush): until then the record could be re-applied by a crash
-// recovery, so the caller must not let a conflicting write reach the
-// backend by another path. If Submit returns a non-nil error the record
-// was refused (closed, full, oversize, or the rotation it needed failed),
-// no callback will ever be called, and the caller must fall back to its
-// non-spill path.
-//
-// Submit implements core.Spiller.
-func (l *Log) Submit(name string, off int64, data []byte, acked, done func(error), released func()) error {
-	if name == "" || len(name) > 1<<16-1 {
-		return fmt.Errorf("%w: bad record name length %d", core.EINVAL, len(name))
-	}
-	if off < 0 {
-		return fmt.Errorf("%w: negative record offset", core.EINVAL)
-	}
-	if payload := recHeaderLen(name) + len(data); payload > MaxFramePayload {
-		return fmt.Errorf("%w: record payload %d exceeds frame limit %d", core.EINVAL, payload, MaxFramePayload)
-	}
-
-	// Reserve the frame's region of the active segment and encode the record
-	// straight into the open cohort's buffer (starting a cohort if none is
-	// open); the committer acknowledges it. inflight is counted before the
-	// lock: a submitter still on its way to the cohort is the evidence the
-	// committer's linger waits on.
-	l.inflight.Add(1)
-	flen := int64(frameHeader + recHeaderLen(name) + len(data))
-	l.mu.Lock()
-	if err := l.admitLocked(flen); err != nil {
-		l.mu.Unlock()
-		l.inflight.Add(-1)
-		return err
-	}
-	c := l.curCohort
-	if c == nil {
-		if c = l.spare; c == nil {
-			c = new(cohort)
-		}
-		l.spare = nil
-		c.seg, c.base = l.active, l.active.size
-		l.curCohort = c
-		l.cohortQ = append(l.cohortQ, c)
-		l.commitCond.Signal()
-	}
-	seg := c.seg
-	c.buf = appendRecordFrame(c.buf, name, off, data)
-	c.recs = append(c.recs, record{
-		seg: seg, name: name, off: off,
-		dataPos: seg.size + flen - int64(len(data)), n: len(data), frame: flen,
-		done: done, released: released,
-	})
-	c.acks = append(c.acks, acked)
-	seg.size += flen
-	seg.reserved++
-	l.liveBytes += flen
-	if int64(len(c.buf)) >= l.cfg.GroupMaxBytes {
-		l.sealCohortLocked()
-	} else if int64(len(c.recs)) >= l.inflight.Load() {
-		// The cohort holds every record in flight: lingering further cannot
-		// gain members. It stays open — stragglers arriving before the
-		// committer seals it still share this commit.
-		c.readyLocked()
-	}
-	l.mu.Unlock()
-	return nil
-}
-
-// Append is Submit plus the wait: it returns nil once the record is durable
-// and published, and otherwise the refusal or commit error — either way a
-// non-nil return means the record is not in the log and neither callback
-// will fire.
-func (l *Log) Append(name string, off int64, data []byte, done func(error), released func()) error {
-	var ack struct {
-		sync.WaitGroup
-		err error
-	}
-	ack.Add(1)
-	if err := l.Submit(name, off, data, func(err error) { ack.err = err; ack.Done() }, done, released); err != nil {
-		return err
-	}
-	ack.Wait()
-	return ack.err
-}
-
-// admitLocked is the submit-time gate: refuse when closed or past the byte
-// cap, and rotate when the frame would overflow the active segment —
-// sealing the open cohort first, so it stays whole on the old segment and
-// the triggering record starts a new cohort on the fresh one.
-func (l *Log) admitLocked(frame int64) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if l.cfg.MaxBytes > 0 && l.liveBytes+frame > l.cfg.MaxBytes {
-		return fmt.Errorf("%w: %d live + %d frame > %d cap", ErrFull, l.liveBytes, frame, l.cfg.MaxBytes)
-	}
-	if l.active.size > 0 && l.active.size+frame > l.cfg.SegmentBytes {
-		l.sealCohortLocked()
-		if err := l.rotateLocked(); err != nil {
-			l.appendErrors.Inc()
-			return err
-		}
-	}
 	return nil
 }
 
@@ -620,206 +367,6 @@ func (l *Log) releaseSegLocked(seg *segment) {
 	for _, f := range rel {
 		f()
 	}
-}
-
-// drain is the background replay loop: take the whole queue as one batch,
-// plan it through the compaction interval map, then apply each record's
-// surviving byte ranges to the backend in FIFO order, report through done,
-// and release segment space. Global FIFO order preserves per-name append
-// order (the property the deferred-write semantics need); compaction
-// preserves it too — a shadowed byte is simply written by its newest
-// writer instead of every writer.
-func (l *Log) drain() {
-	defer l.wg.Done()
-	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && len(l.sweeps) == 0 && !(l.closed && len(l.cohortQ) == 0) {
-			l.cond.Wait()
-		}
-		if len(l.sweeps) > 0 {
-			seg := l.sweeps[0]
-			l.sweeps = l.sweeps[1:]
-			l.finishSegLocked(seg)
-			l.mu.Unlock()
-			continue
-		}
-		if len(l.queue) == 0 {
-			// Closed, fully drained, and no cohort can still publish.
-			l.mu.Unlock()
-			return
-		}
-		batch := l.queue
-		l.queue = nil
-		l.draining = len(batch)
-		l.mu.Unlock()
-
-		plans, skipped := compactBatch(batch)
-		if skipped > 0 {
-			l.compacted.Add(uint64(skipped))
-		}
-		for i := range batch {
-			rec := batch[i]
-			err := l.applySpans(rec, plans[i])
-			if err != nil {
-				l.drainErrors.Inc()
-			} else {
-				l.drained.Inc()
-			}
-			if rec.done != nil {
-				rec.done(err)
-			}
-			if err != nil && l.cfg.DrainFailed != nil {
-				l.drainRepair.Inc()
-				l.cfg.DrainFailed(rec.name, rec.off, rec.n)
-			}
-
-			l.mu.Lock()
-			l.draining--
-			rec.seg.pending--
-			l.liveBytes -= rec.frame
-			if rec.released != nil {
-				// Queued for the segment's release barrier: the durable copy
-				// outlives the apply until the whole segment is truncated.
-				rec.seg.releases = append(rec.seg.releases, rec.released)
-			}
-			if rec.seg.pending == 0 && rec.seg.reserved == 0 {
-				l.finishSegLocked(rec.seg)
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
-// finishSegLocked runs the segment-completion barrier once a segment has
-// no pending or reserved records: flush the backend handles its records
-// wrote through, then remove (rotated) or rewind (active) the file and
-// fire the release callbacks. The segment is about to lose the records'
-// only durable copy, so the flush comes first — a crash immediately after
-// the truncate cannot lose an applied-but-unsynced record. On flush
-// failure the rotated segment stays on disk for the next recovery
-// (idempotent re-apply) and the active one keeps its bytes. Drainer-side
-// only (syncBackendCache touches the drainer's handle cache).
-func (l *Log) finishSegLocked(seg *segment) {
-	if seg.pending != 0 || seg.reserved != 0 {
-		// A sweep raced new reservations or appends; whoever completes them
-		// finishes the segment.
-		return
-	}
-	if seg.rotated {
-		found := false
-		for i, s := range l.rotatedSegs {
-			if s == seg {
-				l.rotatedSegs = append(l.rotatedSegs[:i], l.rotatedSegs[i+1:]...)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return // already finished by an earlier completion
-		}
-		if l.syncBackendCache() == nil {
-			l.removeSegLocked(seg)
-		} else {
-			l.drainErrors.Inc()
-			_ = seg.f.Close()
-		}
-		return
-	}
-	if seg.size == 0 && !seg.unflushed {
-		return // already rewound; nothing to flush or release
-	}
-	if l.syncBackendCache() == nil {
-		// Active segment fully drained: rewind it in place so a quiet log
-		// stays one small file.
-		seg.unflushed = false
-		if err := seg.f.Truncate(0); err == nil {
-			seg.size = 0
-			l.truncated.Inc()
-			l.releaseSegLocked(seg)
-		}
-	} else {
-		// Active segment drained but the backend flush failed: mark it so
-		// a later rotation keeps the file instead of dropping the records'
-		// only maybe-durable copy.
-		seg.unflushed = true
-	}
-}
-
-// syncBackendCache flushes the drainer's current backend handle and repays
-// any outstanding sync debt (names whose eviction-time Sync failed, left
-// applied-but-unsynced). Called before a drained segment is discarded; it
-// must succeed for every name with applied records — current and evicted —
-// before any segment may be released, or a crash after the truncate could
-// lose an applied-but-unsynced record that no longer has a WAL copy.
-func (l *Log) syncBackendCache() error {
-	if l.cacheHandle != nil {
-		if err := l.cacheHandle.Sync(); err != nil {
-			return fmt.Errorf("%w: syncing backend before truncate: %v", core.EIO, err)
-		}
-		delete(l.syncDebt, l.cacheName)
-	}
-	for name := range l.syncDebt {
-		h, err := l.cfg.Backend.Open(name, true)
-		if err != nil {
-			return fmt.Errorf("%w: reopening %q to repay sync debt: %v", core.EIO, name, err)
-		}
-		serr := h.Sync()
-		_ = h.Close()
-		if serr != nil {
-			return fmt.Errorf("%w: syncing %q before truncate: %v", core.EIO, name, serr)
-		}
-		delete(l.syncDebt, name)
-	}
-	return nil
-}
-
-// applySpans reads a record's surviving byte ranges back from its segment
-// and writes them to the backend, reusing the one-slot handle cache. An
-// empty plan means the record was fully shadowed by newer records in the
-// same batch: nothing to write, the record succeeds vacuously.
-func (l *Log) applySpans(rec record, spans []span) error {
-	if len(spans) == 0 {
-		return nil
-	}
-	if l.cacheHandle == nil || l.cacheName != rec.name {
-		if l.cacheHandle != nil {
-			// Sync before eviction: see syncBackendCache. A failure is
-			// sticky — the name joins the sync debt, so no segment can be
-			// released until a later sync of that name succeeds. Without
-			// the debt, a segment holding several names' records could be
-			// deleted while the evicted name's applied writes are still
-			// unsynced, losing them on a crash.
-			if l.cacheHandle.Sync() != nil {
-				l.drainErrors.Inc()
-				if l.syncDebt == nil {
-					l.syncDebt = make(map[string]struct{})
-				}
-				l.syncDebt[l.cacheName] = struct{}{}
-			}
-			_ = l.cacheHandle.Close()
-			l.cacheHandle = nil
-		}
-		h, err := l.cfg.Backend.Open(rec.name, true)
-		if err != nil {
-			return fmt.Errorf("%w: opening %q for drain: %v", core.EIO, rec.name, err)
-		}
-		l.cacheName, l.cacheHandle = rec.name, h
-	}
-	for _, sp := range spans {
-		n := int(sp.hi - sp.lo)
-		buf := make([]byte, n)
-		if _, err := rec.seg.f.ReadAt(buf, rec.dataPos+(sp.lo-rec.off)); err != nil {
-			return fmt.Errorf("%w: reading back spilled record: %v", core.EIO, err)
-		}
-		w, err := l.cacheHandle.WriteAt(buf, sp.lo)
-		if err != nil {
-			return fmt.Errorf("%w: draining to %q: %v", core.EIO, rec.name, err)
-		}
-		if w < n {
-			return fmt.Errorf("%w: short drain write (%d of %d bytes)", core.EIO, w, n)
-		}
-	}
-	return nil
 }
 
 // fire invokes the crash hook if one is installed. cfg.Crash is immutable
