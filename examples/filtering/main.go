@@ -45,7 +45,7 @@ func main() {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 
-	client, err := core.Dial("tcp", l.Addr().String())
+	client, err := core.ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func run(mode core.Mode) (time.Duration, float64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := core.Dial("tcp", l.Addr().String())
+			c, err := core.ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func benchWrites(b *testing.B, mode Mode, clients int, msg int, backend Backend)
 	conns := make([]*File, clients)
 	cls := make([]*Client, clients)
 	for i := range conns {
-		c, err := Dial("tcp", l.Addr().String())
+		c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkReadPath(b *testing.B) {
 	}
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
-	c, err := Dial("tcp", l.Addr().String())
+	c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -67,11 +67,12 @@ func TestChaosEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := core.Dial("tcp", l.Addr().String(),
-				core.WithTimeout(15*time.Second),
-				core.WithRetry(10, time.Millisecond, 20*time.Millisecond),
-				core.WithReconnect(8),
-				core.WithSeed(int64(c)+1))
+			cl, err := core.ClientConfig{
+				Timeout:    15 * time.Second,
+				MaxRetries: 10, RetryBase: time.Millisecond, RetryMax: 20 * time.Millisecond,
+				ReconnectAttempts: 8,
+				Seed:              int64(c) + 1,
+			}.Dial(context.Background(), "tcp", l.Addr().String())
 			if err != nil {
 				t.Errorf("client %d dial: %v", c, err)
 				return
@@ -128,7 +129,7 @@ func TestChaosEndToEnd(t *testing.T) {
 					t.Errorf("client %d close: %v", c, err)
 				}
 			}
-			if _, _, reconnects, _, _ := cl.Metrics(); reconnects == 0 {
+			if cl.Stats().Reconnects == 0 {
 				t.Errorf("client %d: drop absorbed without a reconnect", c)
 			}
 		}()
@@ -191,7 +192,7 @@ func TestChaosServerShutdownUnderTraffic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := core.Dial("tcp", l.Addr().String(), core.WithTimeout(10*time.Second))
+			cl, err := core.ClientConfig{Timeout: 10 * time.Second}.Dial(context.Background(), "tcp", l.Addr().String())
 			if err != nil {
 				return // raced the listener teardown
 			}

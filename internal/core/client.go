@@ -204,16 +204,6 @@ func (c *Client) Stats() ClientStats {
 	return s
 }
 
-// Metrics returns the five original fault counters positionally: retries,
-// timeouts, reconnects, replays, lost ops.
-//
-// Deprecated: use Stats, which names the fields and carries the
-// congestion-control counters too.
-func (c *Client) Metrics() (retries, timeouts, reconnects, replays, lost uint64) {
-	s := c.Stats()
-	return s.Retries, s.Timeouts, s.Reconnects, s.Replays, s.LostOps
-}
-
 // readLoop demultiplexes responses to their callers by request id. One loop
 // runs per connection generation; a stale loop exits silently.
 func (c *Client) readLoop(nc net.Conn, gen uint64) {

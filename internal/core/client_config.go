@@ -9,10 +9,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ClientConfig is the validated, context-aware configuration for a Client.
-// It replaces the accreted With* option soup as the primary construction
-// surface: build a config, Validate it (or let Dial/Client do it), and every
-// tunable is a named field instead of a closure. The zero value reproduces
+// ClientConfig is the validated, context-aware configuration for a Client,
+// and the only way to construct one: build a config, Validate it (or let
+// Dial/Client do it), and every tunable is a named field. The zero value is
 // the original non-resilient, non-adaptive client exactly.
 //
 //	cfg := core.ClientConfig{
@@ -23,15 +22,6 @@ import (
 //		Coalesce:          core.CoalesceConfig{MaxBytes: 1 << 20},
 //	}
 //	c, err := cfg.Dial(ctx, "tcp", addr)
-//
-// Migration from the deprecated options:
-//
-//	WithTimeout(d)        -> Timeout: d
-//	WithRetry(n, b, m)    -> MaxRetries: n, RetryBase: b, RetryMax: m
-//	WithReconnect(n)      -> ReconnectAttempts: n
-//	WithRedial(f)         -> Redial: f
-//	WithSeed(s)           -> Seed: s
-//	WithMetrics(reg)      -> Metrics: reg
 type ClientConfig struct {
 	// Timeout bounds every operation end to end, including EAGAIN retries
 	// and reconnect waits. It composes with the caller's context: the op
@@ -175,7 +165,7 @@ func (cfg *ClientConfig) Validate() error {
 }
 
 // normalized returns a copy with defaults applied. Validation has already
-// accepted the config (or the legacy option path deliberately skipped it).
+// accepted the config.
 func (cfg ClientConfig) normalized() ClientConfig {
 	if cfg.RetryBase == 0 {
 		cfg.RetryBase = DefaultRetryBase
@@ -236,105 +226,4 @@ func (cfg ClientConfig) Client(nc net.Conn) (*Client, error) {
 		return nil, err
 	}
 	return cfg.newClient(nc), nil
-}
-
-// Option configures a Client through the legacy functional-option surface.
-//
-// Deprecated: build a ClientConfig instead; every option is a thin wrapper
-// over one of its fields.
-type Option func(*ClientConfig)
-
-// WithTimeout bounds every operation: a call that has not completed within d
-// fails with an error wrapping ErrOpTimeout. The deadline covers EAGAIN
-// retries and reconnect waits.
-//
-// Deprecated: set ClientConfig.Timeout.
-func WithTimeout(d time.Duration) Option {
-	return func(o *ClientConfig) { o.Timeout = d }
-}
-
-// WithRetry lets the client retry operations the server shed with EAGAIN up
-// to max times, sleeping an exponentially growing, jittered delay between
-// attempts (base doubling per attempt, capped at maxDelay).
-//
-// Deprecated: set ClientConfig.MaxRetries / RetryBase / RetryMax.
-func WithRetry(max int, base, maxDelay time.Duration) Option {
-	return func(o *ClientConfig) {
-		o.MaxRetries = max
-		if base > 0 {
-			o.RetryBase = base
-		}
-		if maxDelay > 0 {
-			o.RetryMax = maxDelay
-		}
-	}
-}
-
-// WithReconnect enables transport failover with up to attempts redial
-// attempts per outage.
-//
-// Deprecated: set ClientConfig.ReconnectAttempts.
-func WithReconnect(attempts int) Option {
-	return func(o *ClientConfig) { o.ReconnectAttempts = attempts }
-}
-
-// WithRedial supplies the function used to obtain a replacement connection
-// after a transport failure (and enables reconnection if WithReconnect was
-// not given).
-//
-// Deprecated: set ClientConfig.Redial.
-func WithRedial(f func() (net.Conn, error)) Option {
-	return func(o *ClientConfig) { o.Redial = f }
-}
-
-// WithSeed fixes the jitter RNG so chaos tests get a reproducible backoff
-// schedule.
-//
-// Deprecated: set ClientConfig.Seed.
-func WithSeed(seed int64) Option {
-	return func(o *ClientConfig) { o.Seed = seed }
-}
-
-// WithMetrics registers the client's fault counters (iofwd_retries_total,
-// iofwd_timeouts_total, iofwd_reconnects_total, ...) on reg.
-//
-// Deprecated: set ClientConfig.Metrics.
-func WithMetrics(reg *telemetry.Registry) Option {
-	return func(o *ClientConfig) { o.Metrics = reg }
-}
-
-// Dial connects to a forwarding server using the legacy option surface.
-// When WithReconnect is given, a redialer to the same address is installed
-// automatically (unless WithRedial overrides it).
-//
-// Deprecated: use ClientConfig.Dial, which takes a context and a validated
-// config.
-func Dial(network, addr string, opts ...Option) (*Client, error) {
-	nc, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	var cfg ClientConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.ReconnectAttempts > 0 && cfg.Redial == nil {
-		cfg.Redial = func() (net.Conn, error) {
-			return net.Dial(network, addr)
-		}
-	}
-	return cfg.newClient(nc), nil
-}
-
-// NewClient wraps an established connection using the legacy option
-// surface. Unlike ClientConfig.Client it performs no validation, exactly
-// as the original option path did.
-//
-// Deprecated: use ClientConfig.Client.
-func NewClient(nc net.Conn, opts ...Option) *Client {
-	var cfg ClientConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg.newClient(nc)
 }

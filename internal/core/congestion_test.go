@@ -593,13 +593,6 @@ func TestCoalescedWritesSurviveConnectionDrops(t *testing.T) {
 	if st.CoalescedWrites == 0 {
 		t.Error("no merges under a full window with adjacent concurrent writers")
 	}
-	// The deprecated Metrics 5-tuple must stay positionally identical to
-	// Stats now that the client is quiescent.
-	r, to, rc, rp, lost := c.Metrics()
-	s2 := c.Stats()
-	if r != s2.Retries || to != s2.Timeouts || rc != s2.Reconnects || rp != s2.Replays || lost != s2.LostOps {
-		t.Errorf("Metrics() = (%d,%d,%d,%d,%d) disagrees with Stats() %+v", r, to, rc, rp, lost, s2)
-	}
 }
 
 // TestCursorWriteFailsFastWithCoalescing: coalescing and the window must

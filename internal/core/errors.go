@@ -59,7 +59,7 @@ var (
 	ErrConnectionLost = errors.New("core: connection lost")
 	// ErrClientClosed reports that the Client was closed locally by Close.
 	ErrClientClosed = errors.New("core: client closed")
-	// ErrOpTimeout reports that a per-operation deadline (WithTimeout)
+	// ErrOpTimeout reports that a per-operation deadline (ClientConfig.Timeout)
 	// expired before the response arrived. The operation may still execute
 	// on the server; only idempotent positional operations should be
 	// reissued.

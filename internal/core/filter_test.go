@@ -97,7 +97,7 @@ func TestServerSideReduction(t *testing.T) {
 	srv := NewServer(Config{Mode: ModeAsync, Workers: 2, Backend: backend, Filters: chain})
 	cc, sc := net.Pipe()
 	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	defer c.Close()
 	defer srv.Close()
 
@@ -139,7 +139,7 @@ func TestObserveOnlyFilterKeepsDataIntact(t *testing.T) {
 	srv := NewServer(Config{Mode: ModeWorkQueue, Workers: 1, Backend: backend, Filters: NewFilterChain(sum)})
 	cc, sc := net.Pipe()
 	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	defer c.Close()
 	defer srv.Close()
 

@@ -23,7 +23,7 @@ func startMetricsServer(t *testing.T, mode Mode) (*Server, *Client) {
 	}
 	go func() { _ = srv.Serve(l) }()
 	t.Cleanup(func() { _ = srv.Close() })
-	cl, err := Dial("tcp", l.Addr().String())
+	cl, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestTruncatedFrame(t *testing.T) {
 	done := make(chan struct{})
 	go func() { _ = srv.ServeConn(sc); close(done) }()
 
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	f, err := c.Open(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestTruncatedFrame(t *testing.T) {
 // every in-flight and subsequent call errors out instead of hanging.
 func TestClientFailsPendingCallsOnDisconnect(t *testing.T) {
 	cc, sc := net.Pipe()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	errs := make(chan error, 1)
 	go func() {
 		_, err := c.Open(context.Background(), "x")
@@ -107,7 +107,7 @@ func TestClientFailsPendingCallsOnDisconnect(t *testing.T) {
 // the wire.
 func TestOversizedWriteRejectedClientSide(t *testing.T) {
 	cc, _ := net.Pipe()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	defer c.Close()
 	f := &File{c: c, fd: 3}
 	if _, err := f.Write(make([]byte, MaxPayload+1)); !errors.Is(err, EINVAL) {
@@ -122,7 +122,7 @@ func TestShutdownRaceReturnsECLOSED(t *testing.T) {
 	srv := NewServer(Config{Mode: ModeWorkQueue, Workers: 2})
 	cc, sc := net.Pipe()
 	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	defer c.Close()
 	f, err := c.Open(context.Background(), "race")
 	if err != nil {
@@ -160,7 +160,7 @@ func TestShutdownRaceReturnsECLOSED(t *testing.T) {
 func TestClientErrorsAreTyped(t *testing.T) {
 	// Transport failure -> ErrConnectionLost, carrying the cause.
 	cc, sc := net.Pipe()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	_ = sc.Close()
 	if _, err := c.Open(context.Background(), "x"); !errors.Is(err, ErrConnectionLost) {
 		t.Fatalf("after transport failure: want ErrConnectionLost wrap, got %v", err)
@@ -172,18 +172,18 @@ func TestClientErrorsAreTyped(t *testing.T) {
 
 	// Local Close -> ErrClientClosed.
 	cc2, _ := net.Pipe()
-	c2 := NewClient(cc2)
+	c2 := pipeClient(t, ClientConfig{}, cc2)
 	_ = c2.Close()
 	if _, err := c2.Open(context.Background(), "z"); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("after Close: want ErrClientClosed wrap, got %v", err)
 	}
 }
 
-// TestOpDeadline: a server that goes silent must not hang a client with
-// WithTimeout; the error wraps ErrOpTimeout.
+// TestOpDeadline: a server that goes silent must not hang a client with a
+// Timeout; the error wraps ErrOpTimeout.
 func TestOpDeadline(t *testing.T) {
 	cc, sc := net.Pipe()
-	c := NewClient(cc, WithTimeout(100*time.Millisecond))
+	c := pipeClient(t, ClientConfig{Timeout: 100 * time.Millisecond}, cc)
 	defer c.Close()
 	go func() {
 		var h header
@@ -201,7 +201,7 @@ func TestOpDeadline(t *testing.T) {
 	if time.Since(start) > 3*time.Second {
 		t.Fatal("deadline did not bound the call")
 	}
-	if _, timeouts, _, _, _ := c.Metrics(); timeouts == 0 {
+	if c.Stats().Timeouts == 0 {
 		t.Fatal("timeout not counted")
 	}
 }
@@ -236,7 +236,7 @@ func (h *slowHandle) Close() error                            { return h.inner.C
 
 // TestOverloadShedAndRetry: past the queue high-water mark the server must
 // refuse data ops with EAGAIN instead of queueing unboundedly, and a client
-// with WithRetry must absorb the sheds transparently.
+// with MaxRetries must absorb the sheds transparently.
 func TestOverloadShedAndRetry(t *testing.T) {
 	// ModeAsync acks staged writes immediately, so a single connection can
 	// flood the queue faster than the slow worker drains it.
@@ -252,7 +252,7 @@ func TestOverloadShedAndRetry(t *testing.T) {
 	defer srv.Close()
 
 	// Without retries: hammering concurrently must surface EAGAIN.
-	c, err := Dial("tcp", l.Addr().String())
+	c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +284,9 @@ func TestOverloadShedAndRetry(t *testing.T) {
 	}
 
 	// With retries: every op must eventually succeed.
-	cr, err := Dial("tcp", l.Addr().String(),
-		WithRetry(50, time.Millisecond, 20*time.Millisecond), WithSeed(11))
+	cr, err := ClientConfig{
+		MaxRetries: 50, RetryBase: time.Millisecond, RetryMax: 20 * time.Millisecond, Seed: 11,
+	}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestOverloadShedAndRetry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if retries, _, _, _, _ := cr.Metrics(); retries == 0 {
+	if cr.Stats().Retries == 0 {
 		t.Log("note: no retries needed (queue drained fast); shed path still covered above")
 	}
 }
@@ -352,7 +353,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	})
 	cc, sc := net.Pipe()
 	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	defer c.Close()
 	f, err := c.Open(context.Background(), "p")
 	if err != nil {
@@ -420,7 +421,7 @@ func TestBMLTimeoutDegradesToSync(t *testing.T) {
 	defer srv.Close()
 	cc, sc := net.Pipe()
 	go func() { _ = srv.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	defer c.Close()
 	f, err := c.Open(context.Background(), "d")
 	if err != nil {
@@ -490,8 +491,8 @@ func TestReconnectReplaysIdempotentOps(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 
-	c, err := Dial("tcp", l.Addr().String(),
-		WithReconnect(8), WithSeed(3), WithTimeout(10*time.Second))
+	c, err := ClientConfig{ReconnectAttempts: 8, Seed: 3, Timeout: 10 * time.Second}.
+		Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,9 +524,8 @@ func TestReconnectReplaysIdempotentOps(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatalf("sync after reconnect: %v", err)
 	}
-	_, _, reconnects, replays, _ := c.Metrics()
-	if reconnects == 0 || replays == 0 {
-		t.Fatalf("reconnects=%d replays=%d, want both > 0", reconnects, replays)
+	if st := c.Stats(); st.Reconnects == 0 || st.Replays == 0 {
+		t.Fatalf("reconnects=%d replays=%d, want both > 0", st.Reconnects, st.Replays)
 	}
 	data, _ := mem.Bytes("replay")
 	if len(data) != 8192 || !bytes.Equal(data[:4096], payload) || !bytes.Equal(data[4096:], payload) {
@@ -548,8 +548,8 @@ func TestReconnectFailsNonIdempotentFast(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 
-	c, err := Dial("tcp", l.Addr().String(),
-		WithReconnect(8), WithSeed(5), WithTimeout(10*time.Second))
+	c, err := ClientConfig{ReconnectAttempts: 8, Seed: 5, Timeout: 10 * time.Second}.
+		Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestWorkerPoolSurvivesManyConnections(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 	for i := 0; i < 50; i++ {
-		c, err := Dial("tcp", l.Addr().String())
+		c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +610,7 @@ func TestWorkerPoolSurvivesManyConnections(t *testing.T) {
 		_ = c.Close() // abrupt: leaves the fd open, teardown must cope
 	}
 	// The pool still works afterwards.
-	c, err := Dial("tcp", l.Addr().String())
+	c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func TestZeroCopyReadE2E(t *testing.T) {
 				t.Fatal(err)
 			}
 			go func() { _ = srv.Serve(l) }()
-			c, err := Dial("tcp", l.Addr().String())
+			c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,12 +16,22 @@ func pipePair(t *testing.T, cfg Config) (*Client, *Server) {
 	s := NewServer(cfg)
 	cc, sc := net.Pipe()
 	go func() { _ = s.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	t.Cleanup(func() {
 		_ = c.Close()
 		_ = s.Close()
 	})
 	return c, s
+}
+
+// pipeClient wraps an established connection in a client configured by cfg.
+func pipeClient(t *testing.T, cfg ClientConfig, nc net.Conn) *Client {
+	t.Helper()
+	c, err := cfg.Client(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 var allModes = []Mode{ModeDirect, ModeWorkQueue, ModeAsync}
@@ -206,7 +216,7 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					errs <- func() error {
-						c, err := Dial("tcp", l.Addr().String())
+						c, err := ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 						if err != nil {
 							return err
 						}
@@ -263,7 +273,7 @@ func TestServerTeardownDrainsStagedWrites(t *testing.T) {
 	cc, sc := net.Pipe()
 	done := make(chan struct{})
 	go func() { _ = s.ServeConn(sc); close(done) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	f, err := c.Open(context.Background(), "orphan")
 	if err != nil {
 		t.Fatal(err)

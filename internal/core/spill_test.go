@@ -512,7 +512,7 @@ func TestSpillConnDropWaitsForAcks(t *testing.T) {
 	cc, sc := net.Pipe()
 	served := make(chan error, 1)
 	go func() { served <- s.ServeConn(sc) }()
-	c := NewClient(cc)
+	c := pipeClient(t, ClientConfig{}, cc)
 	f, err := c.Open(context.Background(), "burst")
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 	defer srv.Close()
 
-	cl, err := core.Dial("tcp", l.Addr().String())
+	cl, err := core.ClientConfig{}.Dial(context.Background(), "tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

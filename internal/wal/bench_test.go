@@ -38,7 +38,10 @@ func benchServer(b *testing.B, spill *Log, backend core.Backend) *core.Client {
 	})
 	cc, sc := net.Pipe()
 	go func() { _ = s.ServeConn(sc) }()
-	c := core.NewClient(cc)
+	c, err := core.ClientConfig{}.Client(cc)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Cleanup(func() {
 		_ = c.Close()
 		_ = s.Close()

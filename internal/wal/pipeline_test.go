@@ -249,7 +249,10 @@ func TestPipelinedAcksOneConnection(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- s.ServeConn(sc) }()
 	fc := &framedConn{Conn: cc, wrote: make(chan struct{}, 256)}
-	c := core.NewClient(fc)
+	c, err := core.ClientConfig{}.Client(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		close(be.gate)
 		_ = c.Close()
