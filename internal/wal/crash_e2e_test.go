@@ -443,14 +443,13 @@ func TestCrashRecoveryE2E(t *testing.T) {
 }
 
 // TestCrashFlagRejectsUnknownPoint: a -crash spec naming a point the WAL
-// never fires — a typo, or a point of the deleted per-record commit path —
-// would arm a drill that cannot kill and reads as a pass. fwdd must refuse
+// never fires — a typo, or a point a later change retired — would arm a drill that cannot kill and reads as a pass. fwdd must refuse
 // it with exit status 2 and name the points that exist.
 func TestCrashFlagRejectsUnknownPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-level drills in -short mode")
 	}
-	for _, spec := range []string{"no-such-point", "mid-append:8", "before-truncate:1,after-apend:3"} {
+	for _, spec := range []string{"no-such-point", "before-batch-snyc:3", "before-truncate:1,after-trunctae:1"} {
 		// A daemon that accepts the spec serves until the deadline kills it.
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		out, err := exec.CommandContext(ctx, buildFwdd(t), "-listen", "127.0.0.1:0", "-wal-dir", t.TempDir(), "-crash", spec).CombinedOutput()

@@ -78,10 +78,10 @@ func groupAppend(t *testing.T, lg *Log, n, payloadLen int) []error {
 	return col.wait(t, n)
 }
 
-// TestGroupCommitSharesFsync: with the linger primed and the cohort byte
+// TestCohortSharesFsync: with the linger primed and the cohort byte
 // cap set to exactly N frames, N concurrent appends form one cohort — one
 // fsync, one batch of N — and every member is acked durable.
-func TestGroupCommitSharesFsync(t *testing.T) {
+func TestCohortSharesFsync(t *testing.T) {
 	const n, payloadLen = 8, 100
 	dir := t.TempDir()
 	be := core.NewMemBackend()
@@ -123,12 +123,12 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCohortNeverStraddlesRotation: with a segment that holds
+// TestCohortNeverStraddlesRotation: with a segment that holds
 // exactly two frames, three concurrent appends must land as two clean
 // single-segment cohorts (2 frames + 1 frame) — never a cohort whose
 // frames span the rotation boundary. The drain gate keeps both segment
 // files on disk so the test can scan them after all three acks.
-func TestGroupCommitCohortNeverStraddlesRotation(t *testing.T) {
+func TestCohortNeverStraddlesRotation(t *testing.T) {
 	const payloadLen = 64
 	fl := frameLen("obj", payloadLen)
 	dir := t.TempDir()
@@ -215,10 +215,10 @@ func TestGroupCommitCohortNeverStraddlesRotation(t *testing.T) {
 	}
 }
 
-// TestGroupCommitAllOrNothingAck: at the after-batch-sync-before-ack crash
+// TestCohortAllOrNothingAck: at the after-batch-sync-before-ack crash
 // point the whole cohort is durable on disk, yet no member's Append has
 // returned — the cohort is acknowledged all-or-nothing.
-func TestGroupCommitAllOrNothingAck(t *testing.T) {
+func TestCohortAllOrNothingAck(t *testing.T) {
 	const n, payloadLen = 8, 100
 	dir := t.TempDir()
 	var returned atomic.Int64
@@ -264,10 +264,10 @@ func TestGroupCommitAllOrNothingAck(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFailureUnparksCohort: when the batch write fails, every
+// TestCohortFailureUnparksCohort: when the batch write fails, every
 // cohort member's Append returns the error, nothing is acked, and the
 // reservation accounting rolls back.
-func TestGroupCommitFailureUnparksCohort(t *testing.T) {
+func TestCohortFailureUnparksCohort(t *testing.T) {
 	const n, payloadLen = 4, 100
 	dir := t.TempDir()
 	lg, _, err := Open(Config{
@@ -322,9 +322,9 @@ func TestGroupCommitFailureUnparksCohort(t *testing.T) {
 	_ = lg.Close()
 }
 
-// TestGroupCommitSingleWriter: a lone sequential writer never lingers
+// TestCohortSingleWriter: a lone sequential writer never lingers
 // (cohorts stay singletons) and still gets per-record durability.
-func TestGroupCommitSingleWriter(t *testing.T) {
+func TestCohortSingleWriter(t *testing.T) {
 	const n, payloadLen = 6, 80
 	dir := t.TempDir()
 	be := core.NewMemBackend()
