@@ -89,11 +89,8 @@ func (l *Log) Submit(name string, off int64, data []byte, acked, done func(error
 		return fmt.Errorf("%w: record payload %d exceeds frame limit %d", core.EINVAL, payload, MaxFramePayload)
 	}
 
-	// Reserve the frame's region of the active segment and encode the record
-	// straight into the open cohort's buffer (starting a cohort if none is
-	// open); the committer acknowledges it. inflight is counted before the
-	// lock: a submitter still on its way to the cohort is the evidence the
-	// committer's linger waits on.
+	// Counted before the lock: a submitter still on its way to the cohort is
+	// the evidence the committer's linger waits on.
 	l.inflight.Add(1)
 	flen := int64(frameHeader + recHeaderLen(name) + len(data))
 	l.mu.Lock()
@@ -232,11 +229,10 @@ func (l *Log) commitLoop() {
 		// published regions).
 		err := l.writeBatch(c.seg, c.base, c.buf)
 
-		// Whether this commit fsyncs is decided after the write and under the
-		// lock that orders it against rotation: a cohort that skips the fsync
-		// publishes in the same critical section, so its segment cannot be
-		// rotated away between the decision and the records being counted
-		// unsynced.
+		// Whether to fsync is decided after the write, under the lock that
+		// orders it against rotation: a cohort that skips the fsync publishes
+		// in this same critical section, so its segment cannot rotate away
+		// in between.
 		l.mu.Lock()
 		reason := l.syncReasonLocked(c)
 		if err == nil && reason != nil {
