@@ -1,6 +1,7 @@
 package stripetier
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -133,9 +134,17 @@ type health struct {
 	// members: the logical clock every backoff is measured on.
 	tick    atomic.Int64
 	members []memberHealth
+	// due is the earliest armed wake-up on the logical clock not yet
+	// reported to onDue (math.MaxInt64 when none): an ejected member's
+	// reopenAt, or a tick armed by wakeAt. One atomic load tells record
+	// whether the clock just reached it.
+	due atomic.Int64
 	// onTransition, when non-nil, is called (outside the member lock) for
 	// every state change.
 	onTransition func(member int, s State, t transition)
+	// onDue, when non-nil, is called (outside any member lock) once the
+	// clock reaches due.
+	onDue func()
 }
 
 func newHealth(n int, cfg HealthConfig) *health {
@@ -144,6 +153,7 @@ func newHealth(n int, cfg HealthConfig) *health {
 		h.members[i].window = make([]bool, h.cfg.WindowOps)
 		h.members[i].backoff = h.cfg.ProbeBackoffOps
 	}
+	h.due.Store(math.MaxInt64)
 	return h
 }
 
@@ -198,7 +208,7 @@ func (h *health) allowed(m int) (ok bool, probe uint64) {
 // returned for this op (zero for ops admitted outside a probe slot). It
 // returns the transition the result caused, if any.
 func (h *health) record(m int, opOK bool, probe uint64) transition {
-	h.tick.Add(1)
+	now := h.tick.Add(1)
 	mh := &h.members[m]
 	mh.mu.Lock()
 	// Only the outstanding probe's own result drives the half-open state:
@@ -259,7 +269,46 @@ func (h *health) record(m int, opOK bool, probe uint64) transition {
 	if tr != transNone && h.onTransition != nil {
 		h.onTransition(m, newState, tr)
 	}
+	if now >= h.due.Load() && h.takeDue(now) && h.onDue != nil {
+		h.onDue()
+	}
 	return tr
+}
+
+// takeDue claims the wake-up that came due at now — one caller wins per
+// crossing — and re-arms due for the ejected members whose reopenAt is
+// still ahead (a wakeAt tick is armed again by whoever needs it). Its
+// member scan runs once per wake-up, never per op.
+func (h *health) takeDue(now int64) bool {
+	for {
+		d := h.due.Load()
+		if now < d {
+			return false
+		}
+		if h.due.CompareAndSwap(d, math.MaxInt64) {
+			break
+		}
+	}
+	for i := range h.members {
+		mh := &h.members[i]
+		mh.mu.Lock()
+		if mh.state == StateEjected && mh.reopenAt > now {
+			h.wakeAt(mh.reopenAt)
+		}
+		mh.mu.Unlock()
+	}
+	return true
+}
+
+// wakeAt arms onDue for logical tick at, unless an earlier wake-up is
+// already armed.
+func (h *health) wakeAt(at int64) {
+	for {
+		d := h.due.Load()
+		if at >= d || h.due.CompareAndSwap(d, at) {
+			return
+		}
+	}
 }
 
 // ejectLocked moves mh to StateEjected and schedules its next probe on the
@@ -267,6 +316,7 @@ func (h *health) record(m int, opOK bool, probe uint64) transition {
 func (h *health) ejectLocked(mh *memberHealth) {
 	mh.state = StateEjected
 	mh.reopenAt = h.tick.Load() + mh.backoff
+	h.wakeAt(mh.reopenAt)
 	if next := mh.backoff * 2; next <= h.cfg.MaxProbeBackoffOps {
 		mh.backoff = next
 	} else {

@@ -98,3 +98,14 @@ func (t *Tier) onTransition(member int, s State, tr transition) {
 		t.repair.kickNow()
 	}
 }
+
+// onDue is the health tracker's other callback (set in newTier): the
+// logical clock reached an ejected member's reopenAt, or a retry a repair
+// pass armed. No traffic may ever ask for that member again — its stripes
+// may see none — so the repair loop's pass, which asks allowed for every
+// pending member, has to.
+func (t *Tier) onDue() {
+	if t.repair.pendingCount() > 0 {
+		t.repair.kickNow()
+	}
+}

@@ -41,25 +41,17 @@ func TestJournalEntryRoundTrip(t *testing.T) {
 }
 
 // newPersistTier builds a 2-member, 2-replica tier whose pending set is
-// journaled at path.
-func newPersistTier(t *testing.T, path string, mems []*core.MemBackend) (*Tier, []*flakyMember) {
+// journaled at path, with its repair loop parked until startLoop: a loop
+// running from the start could drain a reloaded entry before the test
+// looks for it.
+func newPersistTier(t *testing.T, path string, mems []*core.MemBackend) (*Tier, []*flakyMember, func()) {
 	t.Helper()
-	flaky := make([]*flakyMember, len(mems))
-	members := make([]core.Backend, len(mems))
-	for i := range mems {
-		flaky[i] = &flakyMember{inner: mems[i]}
-		members[i] = flaky[i]
-	}
-	tier, err := New(members, Config{
+	return newParkedTier(t, mems, Config{
 		StripeSize:     16,
 		Replicas:       2,
 		Health:         testHealthCfg(),
 		PendingJournal: path,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tier, flaky
 }
 
 func waitPendingDrained(t *testing.T, tier *Tier) {
@@ -81,7 +73,8 @@ func TestPendingSetSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pending.journal")
 	mems := []*core.MemBackend{core.NewMemBackend(), core.NewMemBackend()}
 
-	tier, flaky := newPersistTier(t, path, mems)
+	tier, flaky, startLoop := newPersistTier(t, path, mems)
+	startLoop()
 	flaky[1].fail.Store(true) // member 1 drops its replica writes
 	h, err := tier.Open("obj", true)
 	if err != nil {
@@ -105,11 +98,11 @@ func TestPendingSetSurvivesRestart(t *testing.T) {
 
 	// Restart over the same members, member 1 healthy again. The journal
 	// must reload the pending entry and the kicked repair loop drain it.
-	tier2, _ := newPersistTier(t, path, mems)
-	defer tier2.Close()
+	tier2, _, startLoop2 := newPersistTier(t, path, mems)
 	if !tier2.repair.isPending("obj", 0, 1) {
 		t.Fatal("pending entry lost across restart")
 	}
+	startLoop2()
 	waitPendingDrained(t, tier2)
 	got, ok := mems[1].Bytes("obj")
 	if !ok || !bytes.Equal(got[:16], data) {
@@ -206,13 +199,17 @@ func TestJournalDropsOutOfBoundsMembers(t *testing.T) {
 	_ = f.Close()
 
 	mems := []*core.MemBackend{core.NewMemBackend(), core.NewMemBackend()}
-	tier, _ := newPersistTier(t, path, mems)
+	tier, flaky, startLoop := newPersistTier(t, path, mems)
 	if tier.repair.isPending("obj", 0, 7) {
 		t.Fatal("out-of-bounds member survived the reload")
 	}
 	if !tier.repair.isPending("obj", 0, 1) {
 		t.Fatal("in-bounds entry dropped by the reload")
 	}
+	// Close joins the loop, so it must run; with its survivor unreadable the
+	// entry cannot be repaired (and deleted) before the on-disk check.
+	flaky[0].failOpen.Store(true)
+	startLoop()
 	tier.Close()
 	// The entry is filtered before the compaction rewrite, so it must be
 	// gone from the on-disk journal too — not just the in-memory set —

@@ -185,37 +185,53 @@ func (r *repairer) close() {
 }
 
 // loop drains the pending set whenever kicked. Entries whose member is
-// still ejected stay queued; the next kick (more traffic, a readmission)
-// retries them. The loop owns no timer: like the health tracker it is
-// driven purely by observed events.
+// still ejected, or whose copy failed, stay queued for the next kick: an
+// enqueue, a readmission, a read that skips a stale replica, or the
+// logical clock (see Tier.onDue). The loop owns no timer: like the health
+// tracker it is driven purely by observed events.
 func (r *repairer) loop() {
 	defer close(r.done)
 	for range r.kick {
-		r.mu.Lock()
-		closed := r.closed
-		keys := make([]repairKey, 0, len(r.pending))
-		for k := range r.pending {
-			keys = append(keys, k)
-		}
-		r.mu.Unlock()
-		if closed {
+		if !r.pass() {
 			return
 		}
-		// Deterministic order: name, then stripe, then member.
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.name != b.name {
-				return a.name < b.name
-			}
-			if a.stripe != b.stripe {
-				return a.stripe < b.stripe
-			}
-			return a.member < b.member
-		})
-		for _, k := range keys {
-			r.repairOne(k)
-		}
 	}
+}
+
+// pass makes one attempt at every pending entry. It reports false, having
+// done nothing, once the repairer is closed.
+func (r *repairer) pass() bool {
+	r.mu.Lock()
+	closed := r.closed
+	keys := make([]repairKey, 0, len(r.pending))
+	for k := range r.pending {
+		keys = append(keys, k)
+	}
+	r.mu.Unlock()
+	if closed {
+		return false
+	}
+	// Deterministic order: name, then stripe, then member.
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		if a.stripe != b.stripe {
+			return a.stripe < b.stripe
+		}
+		return a.member < b.member
+	})
+	for _, k := range keys {
+		r.repairOne(k)
+	}
+	// Entries left queued get another pass ProbeBackoffOps ticks on: a
+	// failed copy behind a healthy primary is skipped by no read, so no
+	// read would kick the loop for it.
+	if h := r.t.health; r.pendingCount() > 0 {
+		h.wakeAt(h.tick.Load() + h.cfg.ProbeBackoffOps)
+	}
+	return true
 }
 
 // repairOne copies stripe k.stripe from a surviving replica onto k.member

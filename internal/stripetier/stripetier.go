@@ -53,6 +53,18 @@ type Stats struct {
 // New builds a tier over members and starts its repair loop. Call Close to
 // stop it.
 func New(members []core.Backend, cfg Config) (*Tier, error) {
+	t, err := newTier(members, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.start()
+	return t, nil
+}
+
+// newTier builds the tier without starting its repair loop. Kicks buffer
+// until start runs the loop, so a test can hold the loop parked while it
+// stages the state the loop will find.
+func newTier(members []core.Backend, cfg Config) (*Tier, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("stripetier: no members")
 	}
@@ -72,18 +84,23 @@ func New(members []core.Backend, cfg Config) (*Tier, error) {
 		metrics: newTierMetrics(len(members)),
 	}
 	t.health.onTransition = t.onTransition
+	t.health.onDue = t.onDue
 	r, err := newRepairer(t, cfg.PendingJournal)
 	if err != nil {
 		return nil, err
 	}
 	t.repair = r
+	return t, nil
+}
+
+// start runs the repair loop.
+func (t *Tier) start() {
 	go t.repair.loop()
 	if t.repair.pendingCount() > 0 {
 		// Entries reloaded from the journal: start draining immediately
 		// instead of waiting for the first degraded write.
 		t.repair.kickNow()
 	}
-	return t, nil
 }
 
 // Close stops the background repair loop. With PendingJournal set, queued

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,24 +74,50 @@ func pattern(off int64, n int) []byte {
 // health config.
 func newTestTier(t *testing.T, n, replicas int, stripeSize int64) (*Tier, []*flakyMember, []*core.MemBackend) {
 	t.Helper()
+	tier, flaky, mems, startLoop := newParkedTestTier(t, n, replicas, stripeSize)
+	startLoop()
+	return tier, flaky, mems
+}
+
+// newParkedTestTier is newTestTier with the repair loop held parked: kicks
+// buffer until startLoop runs it (cleanup starts it too, so Close can join
+// it). Nothing but the test's own calls then moves the tier.
+func newParkedTestTier(t *testing.T, n, replicas int, stripeSize int64) (*Tier, []*flakyMember, []*core.MemBackend, func()) {
+	t.Helper()
 	mems := make([]*core.MemBackend, n)
-	flaky := make([]*flakyMember, n)
-	members := make([]core.Backend, n)
-	for i := range members {
+	for i := range mems {
 		mems[i] = core.NewMemBackend()
-		flaky[i] = &flakyMember{inner: mems[i]}
-		members[i] = flaky[i]
 	}
-	tier, err := New(members, Config{
+	tier, flaky, startLoop := newParkedTier(t, mems, Config{
 		StripeSize: stripeSize,
 		Replicas:   replicas,
 		Health:     testHealthCfg(),
 	})
+	return tier, flaky, mems, startLoop
+}
+
+// newParkedTier builds a tier over flaky-wrapped mems with its repair loop
+// parked until startLoop (or cleanup) starts it. A test that closes the tier
+// itself calls startLoop first: Close joins the loop.
+func newParkedTier(t *testing.T, mems []*core.MemBackend, cfg Config) (tier *Tier, flaky []*flakyMember, startLoop func()) {
+	t.Helper()
+	flaky = make([]*flakyMember, len(mems))
+	members := make([]core.Backend, len(mems))
+	for i := range mems {
+		flaky[i] = &flakyMember{inner: mems[i]}
+		members[i] = flaky[i]
+	}
+	tier, err := newTier(members, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = tier.Close() })
-	return tier, flaky, mems
+	var once sync.Once
+	startLoop = func() { once.Do(tier.start) }
+	t.Cleanup(func() {
+		startLoop()
+		_ = tier.Close()
+	})
+	return tier, flaky, startLoop
 }
 
 func TestStripeRoundTrip(t *testing.T) {
@@ -239,9 +266,11 @@ func TestStripeWriteAllReplicasDown(t *testing.T) {
 // TestStaleReplicaSkipped is the corruption guard: a write that misses a
 // member queues that (stripe, member) for repair, and reads must not be
 // served from the stale replica even after the member recovers, until the
-// repair has actually run.
+// repair has actually run. It also pins the retry of a failed repair: the
+// healthy primary serves every read, so no read ever skips the stale
+// replica and kicks the loop for it — the logical clock has to.
 func TestStaleReplicaSkipped(t *testing.T) {
-	tier, flaky, mems := newTestTier(t, 2, 2, 16)
+	tier, flaky, mems, startLoop := newParkedTestTier(t, 2, 2, 16)
 	h, err := tier.Open("obj", true)
 	if err != nil {
 		t.Fatal(err)
@@ -259,10 +288,17 @@ func TestStaleReplicaSkipped(t *testing.T) {
 	if st.DegradedWrites == 0 || st.PendingRepairs == 0 {
 		t.Fatalf("degraded=%d pending=%d, want both > 0", st.DegradedWrites, st.PendingRepairs)
 	}
-	// Member 1 heals, but its copy of stripe 0 is stale (still 0xEE). The
-	// repair has not run yet (member 1 is under ejection/probation or the
-	// loop has not won the race); reads of stripe 0 must come from member
-	// 0 regardless.
+	// The loop's first pass runs before member 1 heals: the copy fails and
+	// the entry stays queued, while member 1, short of MaxConsecutiveErrs,
+	// stays healthy.
+	<-tier.repair.kick
+	tier.repair.pass()
+	if st := tier.Stats(); st.RepairFailures != 1 || st.PendingRepairs != 1 || st.MemberStates[1] != StateHealthy {
+		t.Fatalf("after a failed repair pass: %+v, want 1 failure, 1 pending, member 1 healthy", st)
+	}
+	// Member 1 heals, but its copy of stripe 0 is stale (still 0xEE) and
+	// the repair has not run again; reads of stripe 0 must come from
+	// member 0 regardless.
 	flaky[1].fail.Store(false)
 	for i := 0; i < 50; i++ {
 		got := make([]byte, 16)
@@ -273,8 +309,12 @@ func TestStaleReplicaSkipped(t *testing.T) {
 			t.Fatalf("read %d returned stale replica data", i)
 		}
 	}
+	if len(tier.repair.kick) == 0 {
+		t.Fatal("50 reads after a failed repair queued no retry kick for the repair loop")
+	}
 	// Drive traffic until the repair drains (the health clock and probe
 	// admission are op-driven), then verify member 1's bytes were fixed.
+	startLoop()
 	deadline := time.Now().Add(10 * time.Second)
 	for tier.Stats().PendingRepairs > 0 {
 		if time.Now().After(deadline) {
@@ -297,7 +337,9 @@ func TestStaleReplicaSkipped(t *testing.T) {
 // tier level: sick member ejected, writes continue degraded, member heals,
 // probes re-admit it, repair restores every missed stripe.
 func TestStripeEjectionRepairCycle(t *testing.T) {
-	tier, flaky, mems := newTestTier(t, 4, 2, 16)
+	// The loop stays parked until the heal: its probes of the sick member
+	// would otherwise race the state checks below.
+	tier, flaky, mems, startLoop := newParkedTestTier(t, 4, 2, 16)
 	h, err := tier.Open("obj", true)
 	if err != nil {
 		t.Fatal(err)
@@ -320,8 +362,11 @@ func TestStripeEjectionRepairCycle(t *testing.T) {
 		t.Fatalf("ejections=%d degraded=%d, want both > 0", st.Ejections, st.DegradedWrites)
 	}
 	// Heal the member; keep traffic flowing so the logical clock advances
-	// through the backoff, the probes, and the repairs.
+	// through the backoff, the probes, and the repairs. The reads touch only
+	// stripe 0, whose chain excludes member 2: the loop must get to the
+	// member on its own.
 	flaky[2].fail.Store(false)
+	startLoop()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s := tier.Stats()
@@ -371,6 +416,83 @@ func TestStripeEjectionRepairCycle(t *testing.T) {
 	}
 	if !bytes.Equal(got, pattern(0, blocks*16)) {
 		t.Fatal("final readback mismatch")
+	}
+}
+
+// TestEjectedMemberReadmittedWithoutTraffic pins repair-loop liveness: a
+// healed member whose stripes see no traffic must still be probed,
+// re-admitted and repaired once its backoff runs out on the logical clock.
+// The loop is parked from the start; its last pass before the heal runs
+// while the member's reopenAt is still ahead, and afterwards only stripe 0
+// — whose chain excludes the member — sees traffic. Without a kick when the
+// clock reaches reopenAt, nothing would ever ask for the member again and
+// its repairs would stay pending forever.
+func TestEjectedMemberReadmittedWithoutTraffic(t *testing.T) {
+	tier, flaky, mems, startLoop := newParkedTestTier(t, 4, 2, 16)
+	h, err := tier.Open("obj", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky[2].fail.Store(true)
+	const blocks = 8
+	for i := int64(0); i < blocks; i++ {
+		if _, err := h.WriteAt(pattern(i*16, 16), i*16); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if st := tier.MemberState(2); st != StateEjected {
+		t.Fatalf("member 2 state %v after sustained failures, want ejected", st)
+	}
+	mh := &tier.health.members[2]
+	mh.mu.Lock()
+	reopenAt := mh.reopenAt
+	mh.mu.Unlock()
+	if now := tier.health.tick.Load(); now >= reopenAt {
+		t.Fatalf("clock %d already at member 2's reopenAt %d: the loop's last pass would have probed it", now, reopenAt)
+	}
+	// The loop's last pass: it takes the pending kick and, with member 2
+	// still backing off, leaves every entry queued.
+	<-tier.repair.kick
+	pending := tier.Stats().PendingRepairs
+	if !tier.repair.pass() || tier.Stats().PendingRepairs != pending || pending == 0 {
+		t.Fatalf("pass before the heal: pending %d -> %d, want the same non-zero set", pending, tier.Stats().PendingRepairs)
+	}
+
+	flaky[2].fail.Store(false)
+	buf := make([]byte, 16)
+	for tier.health.tick.Load() < reopenAt {
+		if _, err := h.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tier.repair.kick) == 0 {
+		t.Fatal("clock reached member 2's reopenAt with repairs pending and no kick queued for the repair loop")
+	}
+
+	startLoop()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := tier.Stats()
+		if s.MemberStates[2] == StateHealthy && s.PendingRepairs == 0 {
+			if s.Readmissions != 1 || s.Repairs != uint64(pending) {
+				t.Fatalf("readmissions=%d repairs=%d, want 1 and %d", s.Readmissions, s.Repairs, pending)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("member 2 never re-admitted without traffic: %+v", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	data, _ := mems[2].Bytes("obj")
+	for s := int64(1); s < blocks; s++ {
+		if s%4 != 1 && s%4 != 2 {
+			continue // member 2 replicates stripes whose chain is [1 2] or [2 3]
+		}
+		lo := s * 16
+		if int64(len(data)) < lo+16 || !bytes.Equal(data[lo:lo+16], pattern(lo, 16)) {
+			t.Fatalf("member 2 stripe %d not repaired", s)
+		}
 	}
 }
 
@@ -481,7 +603,9 @@ func TestStripeSparseHoleRead(t *testing.T) {
 // through member handles but every member ejected, Sync must not
 // acknowledge durability it never attempted.
 func TestStripeSyncUnreachable(t *testing.T) {
-	tier, flaky, _ := newTestTier(t, 2, 2, 16)
+	// The loop stays parked: its repair attempts would feed the health
+	// tracker results the ejection count below does not expect.
+	tier, flaky, _, _ := newParkedTestTier(t, 2, 2, 16)
 	h, err := tier.Open("obj", true)
 	if err != nil {
 		t.Fatal(err)
@@ -518,7 +642,10 @@ func TestStripeSyncUnreachable(t *testing.T) {
 // entry, touch never creates one, and a repair only deletes an entry whose
 // version it saw unchanged.
 func TestRepairVersioning(t *testing.T) {
-	tier, _, _ := newTestTier(t, 2, 2, 16)
+	// The loop stays parked: a pass between two steps would repair the
+	// entry (its survivor holds no object, so there is nothing to copy) and
+	// delete it under the test.
+	tier, _, _, _ := newParkedTestTier(t, 2, 2, 16)
 	r := tier.repair
 	k := repairKey{"o", 0, 1}
 	r.enqueue("o", 0, 1)
@@ -584,7 +711,9 @@ func TestStripeTierConfigValidation(t *testing.T) {
 // repair loop converges them — and the pending set must then drain via the
 // stale-replica fallback without losing the stripes' readable bytes.
 func TestEnqueueRepairDrainIntoRepair(t *testing.T) {
-	tier, _, _ := newTestTier(t, 4, 2, 16)
+	// The loop stays parked while the entries are counted: a pass between
+	// two enqueues would repair the first from its still-fresh replica.
+	tier, _, _, startLoop := newParkedTestTier(t, 4, 2, 16)
 	h, err := tier.Open("obj", true)
 	if err != nil {
 		t.Fatal(err)
@@ -623,6 +752,7 @@ func TestEnqueueRepairDrainIntoRepair(t *testing.T) {
 	}
 	// Every chain member is pending, so repairs must converge through the
 	// stale-replica fallback; read traffic drives the loop until it drains.
+	startLoop()
 	deadline := time.Now().Add(10 * time.Second)
 	got := make([]byte, 48)
 	for tier.Stats().PendingRepairs > 0 {
