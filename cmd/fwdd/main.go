@@ -94,6 +94,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fwdd: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
+	if *walDir != "" && m != core.ModeAsync {
+		// Refused before anything opens or replays the log: the server would
+		// ignore the tier, since only async mode acks a write before it runs.
+		fmt.Fprintf(os.Stderr, "fwdd: -wal-dir needs -mode async (a %s server never spills)\n", m)
+		os.Exit(2)
+	}
 
 	reg := telemetry.NewRegistry()
 	baseFault, memberFaults, err := fault.ParseMulti(*faultSpec)

@@ -1,23 +1,34 @@
 // Package core is a real, runnable I/O-forwarding library implementing the
 // system the paper describes — not a simulation. A client ships POSIX-like
 // I/O calls over a framed binary protocol to a forwarding server, which
-// executes them against a pluggable backend. The server offers the paper's
-// three execution models:
+// executes them against a pluggable backend.
 //
-//   - ModeDirect: the per-connection handler executes each operation
-//     itself, like stock ZOID's thread-per-client design (paper II-B2).
-//   - ModeWorkQueue: handlers enqueue operations on a shared FIFO work
-//     queue drained by a fixed worker pool that dequeues multiple requests
-//     per wakeup — the paper's I/O scheduling (Section IV, figure 7). The
-//     client still blocks until the operation completes.
-//   - ModeAsync: work-queue scheduling plus asynchronous data staging
-//     (Section IV, figure 8). Writes are copied into a buffer from the
-//     buffer management layer (BML) and acknowledged immediately; a
-//     descriptor database tracks in-progress operations, and errors from
-//     staged writes are reported on subsequent operations on the same
-//     descriptor, on Fsync, or on Close. When the BML memory cap is
-//     reached, staging blocks until completed operations return buffers.
-//     Opens, closes, and stats remain synchronous.
+// Every data op takes one request pipeline: the per-connection handler
+// decodes it and receives its payload into a buffer from the buffer
+// management layer (BML), the op executes, and the handler replies. The
+// paper's three execution models are two decisions on that pipeline —
+// where an op executes (the paper's I/O scheduling, Section IV, figure 7)
+// and when a write's reply leaves (asynchronous data staging, figure 8):
+//
+//	mode           executes on   reply leaves         write buffer returned by
+//	ModeDirect     handler       after the backend    handler
+//	ModeWorkQueue  worker pool   after the backend    handler
+//	ModeAsync      worker pool   after staging        worker
+//
+// ModeDirect is stock ZOID's thread-per-client design (paper II-B2). The
+// pool modes queue ops on sharded per-worker queues drained by a fixed pool
+// that dequeues several requests per wakeup. Under ModeAsync a staged
+// write is acknowledged as soon as it is queued; a descriptor database
+// tracks in-progress operations, and errors from staged writes are
+// reported on subsequent operations on the same descriptor, on Fsync, or
+// on Close. When the BML memory cap is reached, staging blocks until
+// completed operations return buffers.
+//
+// Reads reply after the backend in every mode, with their data in a leased
+// BML frame the handler returns. A write that times out on BML admission
+// (Config.BMLTimeout) runs on the handler and replies with FlagDegraded;
+// under ModeAsync a spill tier (Config.Spill) can absorb it instead.
+// Opens, closes, and stats always run on the handler.
 //
 // Backends supply the terminal I/O: OS files (FileBackend), memory
 // (MemBackend), a discard target (NullBackend), and a rate-limited wrapper

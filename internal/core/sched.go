@@ -18,9 +18,10 @@ type task struct {
 	buf   []byte
 	off   int64
 	opNum uint64
-	// done, when non-nil, receives the result (synchronous scheduling);
-	// when nil the task is staged and its result goes to the descriptor
-	// database (asynchronous staging).
+	// done, when non-nil, receives the result for the handler waiting on
+	// it, which also returns the buffer. When nil the task is staged
+	// (asynchronous staging): the worker returns its buffer to the pool and
+	// its result goes to the descriptor database.
 	done chan error
 	// n is set to the byte count actually moved (reads).
 	n int
@@ -383,15 +384,42 @@ func (s *Server) worker(id int) {
 	}
 }
 
-// runTask executes the backend call for one task, converting a backend
-// panic into an EIO failure of that operation alone so a buggy or
-// fault-injected backend cannot take down the worker pool.
-func (s *Server) runTask(t *task) (err error) {
+// exec runs t to completion for a handler that replies afterwards and
+// returns the bytes t moved and its backend result. t runs on the handler
+// when the server has no pool or inline is set, and otherwise on a worker
+// while the handler waits. qerr is non-nil only when the scheduler refused
+// the task (shutdown): nothing ran. The caller returns t's buffer either way.
+func (s *Server) exec(t task, inline bool) (n int, err, qerr error) {
+	if s.sched == nil || inline {
+		_, err = s.runTask(&t, t.enq, s.metrics.connPanics)
+		return t.n, err, nil
+	}
+	// Only a queued task outlives this frame, so only it is copied to the
+	// heap.
+	q := new(task)
+	*q = t
+	q.done = make(chan error, 1)
+	if qerr = s.sched.put(q); qerr != nil {
+		s.metrics.queueRejects.Inc()
+		return 0, nil, qerr
+	}
+	err = <-q.done
+	return q.n, err, nil
+}
+
+// runTask is the one place a data op reaches the backend. It observes the
+// backend stage from start and returns the completion time, and it converts
+// a backend panic into an EIO failure of that op alone, counted on panics —
+// the conn scope on the handler, the worker scope in the pool — so a buggy
+// or fault-injected backend can take down neither.
+func (s *Server) runTask(t *task, start time.Time, panics *telemetry.Counter) (end time.Time, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.workerPanics.Inc()
-			err = fmt.Errorf("%w: worker recovered panic: %v", EIO, r)
+			panics.Inc()
+			err = fmt.Errorf("%w: recovered backend panic: %v", EIO, r)
 		}
+		end = time.Now()
+		s.metrics.stageBackend.Observe(end.Sub(start).Nanoseconds())
 	}()
 	switch t.op {
 	case OpWrite:
@@ -399,26 +427,23 @@ func (s *Server) runTask(t *task) (err error) {
 	case OpRead:
 		t.n, err = t.d.handle.ReadAt(t.buf, t.off)
 	}
-	return err
+	return // end is set by the deferred observation
 }
 
-// execute runs one task, observes its backend service time, and routes its
-// result. The observation happens before the result is published so a
-// snapshot taken after a drain sees every completed task. It returns the
-// completion timestamp for the worker's chained batch timing.
+// execute runs one dequeued task and routes its result. The backend stage
+// is observed before the result is published so a snapshot taken after a
+// drain sees every completed task. It returns the completion timestamp for
+// the worker's chained batch timing.
 func (s *Server) execute(t *task, start time.Time) time.Time {
-	err := s.runTask(t)
-	if t.op == OpWrite {
-		s.bml.Put(t.buf)
-	}
-	end := time.Now()
-	s.metrics.stageBackend.Observe(end.Sub(start).Nanoseconds())
+	end, err := s.runTask(t, start, s.metrics.workerPanics)
 	if t.done != nil {
 		t.done <- err
 		return end
 	}
-	// Staged: record the outcome in the descriptor database; the error (if
-	// any) surfaces on a later operation on this descriptor.
+	// Staged: the buffer is the worker's to return, and the outcome goes to
+	// the descriptor database; the error (if any) surfaces on a later
+	// operation on this descriptor.
+	s.bml.Put(t.buf)
 	t.d.complete(t.opNum, err)
 	return end
 }

@@ -56,7 +56,7 @@ func TestShardOrderingPerDescriptor(t *testing.T) {
 			if err := srv.sched.put(&task{d: noise, op: OpWrite, buf: nb, off: 0, done: done}); err != nil {
 				t.Fatal(err)
 			}
-			go func() { <-done }()
+			go func() { <-done; srv.bml.Put(nb) }() // the waiter returns a synchronous task's buffer
 		}
 	}
 	hot.drain()
@@ -111,7 +111,7 @@ func TestWorkStealingDrainsHotShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			wg.Add(1)
-			go func() { defer wg.Done(); <-done }()
+			go func() { defer wg.Done(); <-done; srv.bml.Put(buf) }()
 		}
 	}
 	waitDone := make(chan struct{})
@@ -159,6 +159,7 @@ func TestPutDuringCloseReturnsECLOSED(t *testing.T) {
 					// close raced in right after.
 					select {
 					case <-done:
+						srv.bml.Put(buf)
 					case <-time.After(10 * time.Second):
 						t.Error("accepted task never completed across close")
 						return

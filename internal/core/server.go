@@ -11,16 +11,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mode selects the server's execution model (see the package comment).
+// Mode selects the server's execution model: where a data op executes and
+// when its reply leaves (see the table in the package comment).
 type Mode int
 
 // Execution modes.
 const (
 	// ModeDirect executes operations on the per-connection handler.
 	ModeDirect Mode = iota
-	// ModeWorkQueue schedules operations on the worker pool; callers block.
+	// ModeWorkQueue executes operations on the worker pool; replies leave
+	// after the backend call.
 	ModeWorkQueue
-	// ModeAsync adds asynchronous data staging for writes.
+	// ModeAsync is ModeWorkQueue plus asynchronous data staging: a write
+	// that gets a staging buffer is acknowledged once staged.
 	ModeAsync
 )
 
@@ -38,10 +41,12 @@ func (m Mode) String() string {
 
 // Config configures a Server.
 type Config struct {
-	// Mode selects the execution model; the default is ModeDirect.
+	// Mode selects the execution model; the default is ModeDirect. It is
+	// resolved once, in NewServer: ModeDirect starts no worker pool, and only
+	// ModeAsync stages writes and keeps Spill.
 	Mode Mode
-	// Workers is the worker-pool size for ModeWorkQueue and ModeAsync
-	// (paper default: 4).
+	// Workers is the worker-pool size (paper default: 4); ModeDirect starts
+	// no pool and ignores it.
 	Workers int
 	// Shards is the number of scheduler task queues. Producers hash tasks to
 	// shards by descriptor, each worker drains its own shard and steals from
@@ -75,12 +80,13 @@ type Config struct {
 	// buffer (reply carries FlagDegraded) instead of blocking forever on
 	// BML exhaustion. 0 keeps the paper's pure back-pressure behaviour.
 	BMLTimeout time.Duration
-	// Spill, when non-nil, absorbs ModeAsync writes that miss staging-pool
-	// admission into a durable write-ahead tier (internal/wal) instead of
-	// degrading them to the synchronous path: the record is logged locally,
+	// Spill, when non-nil, absorbs writes that miss staging-pool admission
+	// into a durable write-ahead tier (internal/wal) instead of degrading
+	// them to the synchronous path: the record is logged locally,
 	// acknowledged with FlagStaged|FlagSpilled, and drained to the backend
 	// in the background. A Spill refusal (full/closed) still falls back to
 	// the synchronous degrade path, so the write never blocks on the tier.
+	// Spill is ignored unless Mode is ModeAsync.
 	Spill Spiller
 }
 
@@ -132,6 +138,9 @@ func NewServer(cfg Config) *Server {
 	if cfg.BMLBytes <= 0 {
 		cfg.BMLBytes = 256 << 20
 	}
+	if cfg.Mode != ModeAsync {
+		cfg.Spill = nil // only a mode that acks early has writes to spill
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -157,9 +166,6 @@ func NewServer(cfg Config) *Server {
 // Metrics returns the server's telemetry registry (serve it at /metrics —
 // see cmd/fwdd).
 func (s *Server) Metrics() *telemetry.Registry { return s.metrics.reg }
-
-// Mode returns the server's execution model.
-func (s *Server) Mode() Mode { return s.cfg.Mode }
 
 // BMLStats exposes the staging pool counters.
 func (s *Server) BMLStats() BMLStats { return s.bml.Stats() }
@@ -261,8 +267,7 @@ func (s *Server) ServeConn(nc net.Conn) error {
 // serve runs the handler loop; on a server with a spill tier it brackets the
 // loop with the ack writer's start and join.
 func (c *serverConn) serve() error {
-	s := c.srv
-	if s.cfg.Mode != ModeAsync || s.cfg.Spill == nil {
+	if c.srv.cfg.Spill == nil {
 		return c.run()
 	}
 	c.acks = make(chan pipelinedAck, maxPipelinedAcks)
@@ -336,8 +341,8 @@ type serverConn struct {
 }
 
 func (c *serverConn) run() (err error) {
-	// A panic in a handler (a buggy backend on the direct path, a filter)
-	// costs this connection, never the process; the deferred teardown in
+	// A panic in a handler (a filter, a backend open/sync/close) costs this
+	// connection, never the process; the deferred teardown in
 	// ServeConn still drains and closes the connection's descriptors.
 	defer func() {
 		if r := recover(); r != nil {
@@ -365,15 +370,14 @@ func (c *serverConn) teardown() {
 	}
 }
 
-// reply sends a response frame. value carries op-specific results (fd,
-// size, byte count); payload carries read data.
-func (c *serverConn) reply(reqID uint64, flags uint16, errno Errno, value int64, payload []byte) error {
+// reply sends a payload-free response frame. value carries op-specific
+// results (fd, size, byte count); read data leaves through replyFrame.
+func (c *serverConn) reply(reqID uint64, flags uint16, errno Errno, value int64) error {
 	h := header{
 		op:      0, // responses reuse the header with op 0
 		flags:   flags,
 		reqID:   reqID,
 		offset:  uint64(value),
-		length:  uint32(len(payload)),
 		pathLen: uint16(errno),
 	}
 	m := c.srv.metrics
@@ -382,7 +386,7 @@ func (c *serverConn) reply(reqID uint64, flags uint16, errno Errno, value int64,
 	}
 	t0 := time.Now()
 	c.wmu.Lock()
-	err := writeFrame(c.out, &h, payload)
+	err := writeFrame(c.out, &h)
 	c.wmu.Unlock()
 	m.stageReply.Observe(time.Since(t0).Nanoseconds())
 	return err
@@ -499,7 +503,7 @@ func (c *serverConn) handleOp(h *header, start time.Time) error {
 	switch h.op {
 	case OpOpen:
 		if h.pathLen == 0 || h.pathLen > MaxPath {
-			return c.reply(h.reqID, 0, EINVAL, 0, nil)
+			return c.reply(h.reqID, 0, EINVAL, 0)
 		}
 		path := make([]byte, h.pathLen)
 		if _, err := io.ReadFull(c.nc, path); err != nil {
@@ -507,15 +511,15 @@ func (c *serverConn) handleOp(h *header, start time.Time) error {
 		}
 		handle, err := s.cfg.Backend.Open(string(path), true)
 		if err != nil {
-			return c.reply(h.reqID, 0, toErrno(err), 0, nil)
+			return c.reply(h.reqID, 0, toErrno(err), 0)
 		}
 		d := c.db.open(string(path), handle)
-		return c.reply(h.reqID, 0, EOK, int64(d.fd), nil)
+		return c.reply(h.reqID, 0, EOK, int64(d.fd))
 
 	case OpClose:
 		d, ok := c.db.lookup(h.fd)
 		if !ok {
-			return c.reply(h.reqID, 0, EBADF, 0, nil)
+			return c.reply(h.reqID, 0, EBADF, 0)
 		}
 		d.drain()
 		flags, errno := deferredFlags(d)
@@ -523,7 +527,7 @@ func (c *serverConn) handleOp(h *header, start time.Time) error {
 			errno = toErrno(err)
 		}
 		c.db.remove(h.fd)
-		return c.reply(h.reqID, flags, errno, 0, nil)
+		return c.reply(h.reqID, flags, errno, 0)
 
 	case OpWrite, OpPwrite:
 		return c.handleWrite(h, start)
@@ -534,44 +538,44 @@ func (c *serverConn) handleOp(h *header, start time.Time) error {
 	case OpFsync:
 		d, ok := c.db.lookup(h.fd)
 		if !ok {
-			return c.reply(h.reqID, 0, EBADF, 0, nil)
+			return c.reply(h.reqID, 0, EBADF, 0)
 		}
 		d.drain()
 		flags, errno := deferredFlags(d)
 		if err := d.handle.Sync(); err != nil && errno == EOK {
 			errno = toErrno(err)
 		}
-		return c.reply(h.reqID, flags, errno, 0, nil)
+		return c.reply(h.reqID, flags, errno, 0)
 
 	case OpStat:
 		d, ok := c.db.lookup(h.fd)
 		if !ok {
-			return c.reply(h.reqID, 0, EBADF, 0, nil)
+			return c.reply(h.reqID, 0, EBADF, 0)
 		}
 		size, err := d.handle.Size()
-		return c.reply(h.reqID, 0, toErrno(err), size, nil)
+		return c.reply(h.reqID, 0, toErrno(err), size)
 
 	case OpFlush:
 		for _, d := range c.db.all() {
 			d.drain()
 		}
-		return c.reply(h.reqID, 0, EOK, 0, nil)
+		return c.reply(h.reqID, 0, EOK, 0)
 
 	case OpErrPoll:
 		d, ok := c.db.lookup(h.fd)
 		if !ok {
-			return c.reply(h.reqID, 0, EBADF, 0, nil)
+			return c.reply(h.reqID, 0, EBADF, 0)
 		}
 		flags, errno := deferredFlags(d)
-		return c.reply(h.reqID, flags, errno, 0, nil)
+		return c.reply(h.reqID, flags, errno, 0)
 	}
-	return c.reply(h.reqID, 0, EINVAL, 0, nil)
+	return c.reply(h.reqID, 0, EINVAL, 0)
 }
 
-// handleWrite receives the payload into a BML buffer and executes, queues,
-// or stages it per the server mode. start is the dispatch timestamp; the
-// recv stage is measured from it to payload-received (BML admission wait
-// included — that is the staging back-pressure the paper describes).
+// handleWrite receives the payload into a BML buffer, then spills, stages,
+// or executes it. start is the dispatch timestamp; the recv stage is
+// measured from it to payload-received (BML admission wait included — that
+// is the staging back-pressure the paper describes).
 func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	s := c.srv
 	m := s.metrics
@@ -584,7 +588,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 		if _, err := io.CopyN(io.Discard, c.nc, int64(h.length)); err != nil {
 			return err
 		}
-		return c.reply(h.reqID, 0, EBADF, 0, nil)
+		return c.reply(h.reqID, 0, EBADF, 0)
 	}
 	// Receive into a staging buffer. Allocation blocks under the BML cap,
 	// which back-pressures the client exactly as the paper describes. With
@@ -613,11 +617,11 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 		filtered, ferr := s.cfg.Filters.Apply(d.name, int64(h.offset), buf)
 		if ferr != nil {
 			putBuf()
-			return c.reply(h.reqID, 0, toErrno(ferr), 0, nil)
+			return c.reply(h.reqID, 0, toErrno(ferr), 0)
 		}
 		if len(filtered) > len(buf) {
 			putBuf()
-			return c.reply(h.reqID, 0, EINVAL, 0, nil)
+			return c.reply(h.reqID, 0, EINVAL, 0)
 		}
 		if len(filtered) == 0 {
 			buf = buf[:0]
@@ -632,7 +636,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	if s.shouldShed() {
 		putBuf()
 		m.shed.Inc()
-		return c.reply(h.reqID, 0, EAGAIN, 0, nil)
+		return c.reply(h.reqID, 0, EAGAIN, 0)
 	}
 	var off int64
 	var opNum uint64
@@ -665,7 +669,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	// the WAL: its per-name FIFO keeps two acknowledged writes to the same
 	// offset ordered, both live and across a restart replay. spillStart
 	// happens at submit, so that holds for writes behind an unresolved ack.
-	if s.cfg.Mode == ModeAsync && s.cfg.Spill != nil && (!pooled || d.spillPending()) {
+	if s.cfg.Spill != nil && (!pooled || d.spillPending()) {
 		c.slots <- struct{}{} // parks while maxPipelinedAcks are unanswered
 		d.start()
 		d.spillStart()
@@ -707,64 +711,42 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 		d.waitSpillReleased()
 	}
 
-	// A degraded (unpooled) write always executes synchronously: it must
-	// not enter the queue, whose write path returns buffers to the pool.
-	if s.cfg.Mode == ModeDirect || !pooled {
-		if !pooled {
-			m.bmlDegraded.Inc()
-		}
-		_, err := c.safeWriteAt(d, buf, off)
-		m.stageBackend.Observe(time.Since(recvd).Nanoseconds())
-		putBuf()
-		var flags uint16
-		if !pooled {
-			flags = FlagDegraded
-		}
-		return c.reply(h.reqID, flags, toErrno(err), n, nil)
-	}
-
-	switch s.cfg.Mode {
-	case ModeWorkQueue:
-		done := make(chan error, 1)
-		if err := s.sched.put(&task{d: d, op: OpWrite, buf: buf, off: off, done: done, enq: recvd}); err != nil {
-			s.bml.Put(buf)
-			m.queueRejects.Inc()
-			return c.reply(h.reqID, 0, toErrno(err), 0, nil)
-		}
-		err := <-done
-		return c.reply(h.reqID, 0, toErrno(err), n, nil)
-
-	case ModeAsync:
+	// The one decision staging adds: a pooled write under ModeAsync is
+	// acknowledged as soon as it is queued, and the worker that runs it
+	// returns its buffer and records its outcome for a later op to report.
+	if pooled && s.cfg.Mode == ModeAsync {
 		flags, errno := deferredFlags(d)
 		d.start()
 		if err := s.sched.put(&task{d: d, op: OpWrite, buf: buf, off: off, opNum: opNum, enq: recvd}); err != nil {
 			d.complete(opNum, nil) // undo start: the op never entered the queue
-			s.bml.Put(buf)
+			putBuf()
 			m.queueRejects.Inc()
-			return c.reply(h.reqID, flags, ECLOSED, 0, nil)
+			return c.reply(h.reqID, flags, ECLOSED, 0)
 		}
 		m.staged.Inc()
-		return c.reply(h.reqID, flags|FlagStaged, errno, n, nil)
+		return c.reply(h.reqID, flags|FlagStaged, errno, n)
 	}
-	s.bml.Put(buf)
-	return c.reply(h.reqID, 0, EINVAL, 0, nil)
+
+	// Every other write runs to completion before its reply. A degraded
+	// (unpooled) write runs on the handler — the synchronous path BMLTimeout
+	// promises — so only pool buffers ever reach a worker.
+	var flags uint16
+	if !pooled {
+		m.bmlDegraded.Inc()
+		flags = FlagDegraded
+	}
+	_, err, qerr := s.exec(task{d: d, op: OpWrite, buf: buf, off: off, enq: recvd}, !pooled)
+	putBuf()
+	if qerr != nil {
+		return c.reply(h.reqID, 0, toErrno(qerr), 0)
+	}
+	return c.reply(h.reqID, flags, toErrno(err), n)
 }
 
-// safeWriteAt executes a direct-path backend write, converting a backend
-// panic into EIO for this op alone.
-func (c *serverConn) safeWriteAt(d *descriptor, buf []byte, off int64) (n int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.srv.metrics.connPanics.Inc()
-			err = fmt.Errorf("%w: handler recovered panic: %v", EIO, r)
-		}
-	}()
-	return d.handle.WriteAt(buf, off)
-}
-
-// handleRead executes or queues a read; reads block for the data in every
-// mode, and under staging they first drain preceding writes on the
-// descriptor so the client observes its own writes.
+// handleRead executes a read and replies with its data; reads block for the
+// data in every mode. They first drain the descriptor's staged and spilled
+// writes, so the client observes its own writes, and fold in any deferred
+// error those left — both no-ops in a mode that never stages.
 //
 // The reply is zero-copy: the backend reads directly into the payload region
 // of a BML-leased reply frame, the response header is encoded into the
@@ -779,18 +761,18 @@ func (c *serverConn) handleRead(h *header) error {
 	}
 	d, ok := c.db.lookup(h.fd)
 	if !ok {
-		return c.reply(h.reqID, 0, EBADF, 0, nil)
+		return c.reply(h.reqID, 0, EBADF, 0)
 	}
 	// A read whose padded reply frame could never be admitted by the staging
 	// pool is refused before the cursor moves, instead of panicking in the
 	// pool allocator.
 	if !s.bml.LeaseFits(int(h.length)) {
-		return c.reply(h.reqID, 0, EINVAL, 0, nil)
+		return c.reply(h.reqID, 0, EINVAL, 0)
 	}
 	// Shed before the cursor moves so a refused read has no side effect.
 	if s.shouldShed() {
 		m.shed.Inc()
-		return c.reply(h.reqID, 0, EAGAIN, 0, nil)
+		return c.reply(h.reqID, 0, EAGAIN, 0)
 	}
 	var off int64
 	if h.op == OpPread {
@@ -799,30 +781,14 @@ func (c *serverConn) handleRead(h *header) error {
 	} else {
 		off, _ = d.nextOffset(int64(h.length))
 	}
-	var flags uint16
-	var derrno Errno
-	if s.cfg.Mode == ModeAsync {
-		d.drain()
-		flags, derrno = deferredFlags(d)
-	}
+	d.drain()
+	flags, derrno := deferredFlags(d)
 	frame := s.bml.Lease(int(h.length))
 	buf := frame[headerSize : headerSize+int(h.length)]
-	ready := time.Now()
-	var n int
-	var err error
-	if s.cfg.Mode == ModeDirect {
-		n, err = c.safeReadAt(d, buf, off)
-		m.stageBackend.Observe(time.Since(ready).Nanoseconds())
-	} else {
-		done := make(chan error, 1)
-		t := &task{d: d, op: OpRead, buf: buf, off: off, done: done, enq: ready}
-		if qerr := s.sched.put(t); qerr != nil {
-			s.bml.Put(frame)
-			m.queueRejects.Inc()
-			return c.reply(h.reqID, flags, toErrno(qerr), 0, nil)
-		}
-		err = <-done
-		n = t.n
+	n, err, qerr := s.exec(task{d: d, op: OpRead, buf: buf, off: off, enq: time.Now()}, false)
+	if qerr != nil {
+		s.bml.Put(frame) // nothing was read: no zero-copy reply
+		return c.reply(h.reqID, flags, toErrno(qerr), 0)
 	}
 	m.readBytes.Observe(int64(n))
 	m.bytesRead.Add(uint64(n))
@@ -831,16 +797,4 @@ func (c *serverConn) handleRead(h *header) error {
 		errno = derrno
 	}
 	return c.replyFrame(h.reqID, flags, errno, frame, n)
-}
-
-// safeReadAt executes a direct-path backend read, converting a backend
-// panic into EIO for this op alone.
-func (c *serverConn) safeReadAt(d *descriptor, buf []byte, off int64) (n int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.srv.metrics.connPanics.Inc()
-			err = fmt.Errorf("%w: handler recovered panic: %v", EIO, r)
-		}
-	}()
-	return d.handle.ReadAt(buf, off)
 }

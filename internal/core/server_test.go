@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
+	"time"
 )
 
 // pipePair wires a client to a server over an in-memory connection.
@@ -335,6 +337,199 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.Ops < 4 {
 		t.Fatalf("ops %d", st.Ops)
+	}
+}
+
+// wireConn speaks the protocol to a server directly, so a test sees the
+// reply flags and values the client folds away.
+type wireConn struct {
+	t   *testing.T
+	nc  net.Conn
+	req uint64
+}
+
+func newWireConn(t *testing.T, s *Server) *wireConn {
+	cc, sc := net.Pipe()
+	go func() { _ = s.ServeConn(sc) }()
+	t.Cleanup(func() { _ = cc.Close() })
+	return &wireConn{t: t, nc: cc}
+}
+
+// call sends one request frame and returns the reply header and payload.
+func (w *wireConn) call(h header, segments ...[]byte) (header, []byte) {
+	w.t.Helper()
+	w.req++
+	h.reqID = w.req
+	if err := writeFrame(w.nc, &h, segments...); err != nil {
+		w.t.Fatal(err)
+	}
+	var r header
+	if err := readHeader(w.nc, &r); err != nil {
+		w.t.Fatal(err)
+	}
+	data := make([]byte, r.length)
+	if _, err := io.ReadFull(w.nc, data); err != nil {
+		w.t.Fatal(err)
+	}
+	if r.reqID != h.reqID {
+		w.t.Fatalf("reply to request %d, want %d", r.reqID, h.reqID)
+	}
+	return r, data
+}
+
+func (w *wireConn) open(name string) uint64 {
+	w.t.Helper()
+	r, _ := w.call(header{op: OpOpen, pathLen: uint16(len(name))}, []byte(name))
+	if Errno(r.pathLen) != EOK {
+		w.t.Fatalf("open %s: %v", name, Errno(r.pathLen))
+	}
+	return r.offset
+}
+
+// panicAtBackend panics on every write at offset off.
+type panicAtBackend struct {
+	Backend
+	off int64
+}
+
+func (b panicAtBackend) Open(name string, create bool) (Handle, error) {
+	h, err := b.Backend.Open(name, create)
+	if err != nil {
+		return nil, err
+	}
+	return panicAtHandle{h, b.off}, nil
+}
+
+type panicAtHandle struct {
+	Handle
+	off int64
+}
+
+func (h panicAtHandle) WriteAt(p []byte, off int64) (int, error) {
+	if off == h.off {
+		panic("injected backend panic")
+	}
+	return h.Handle.WriteAt(p, off)
+}
+
+// TestModePolicy pins the two decisions a mode makes on the one request
+// pipeline — where a write executes and when its reply leaves — for a
+// write that got a staging buffer and one that timed out on admission
+// (degraded): the reply flags, whether the write waited in the scheduler
+// queue, which panic scope a panicking backend call counts under, and
+// that every staging buffer is back in the pool once Fsync returns.
+func TestModePolicy(t *testing.T) {
+	const n, panicOff = 1024, 1 << 20
+	for _, mode := range allModes {
+		for _, degraded := range []bool{false, true} {
+			name := mode.String() + "/pooled"
+			if degraded {
+				name = mode.String() + "/degraded"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := NewServer(Config{
+					Mode: mode, Workers: 1,
+					BMLBytes: 2 * minBMLClass, BMLTimeout: time.Millisecond,
+					Backend: panicAtBackend{NewMemBackend(), panicOff},
+				})
+				t.Cleanup(func() { _ = s.Close() })
+				w := newWireConn(t, s)
+				fd := w.open("policy")
+
+				staged := mode == ModeAsync && !degraded
+				poolRun := mode != ModeDirect && !degraded
+				var wantFlags uint16
+				switch {
+				case staged:
+					wantFlags = FlagStaged
+				case degraded:
+					wantFlags = FlagDegraded
+				}
+				var plug []byte
+				if degraded {
+					plug = s.bml.Get(2 * minBMLClass) // every write misses admission
+				}
+				payload := bytes.Repeat([]byte{7}, n)
+				for _, off := range []int64{0, panicOff} {
+					r, _ := w.call(header{op: OpPwrite, fd: fd, offset: uint64(off), length: n}, payload)
+					wantErr := EOK
+					if off == panicOff && !staged {
+						wantErr = EIO // the recovered panic, answered synchronously
+					}
+					if r.flags != wantFlags || Errno(r.pathLen) != wantErr || r.offset != n {
+						t.Fatalf("write at %d: flags %#x errno %v value %d, want %#x %v %d",
+							off, r.flags, Errno(r.pathLen), r.offset, wantFlags, wantErr, n)
+					}
+				}
+				if degraded {
+					s.bml.Put(plug)
+				}
+
+				r, _ := w.call(header{op: OpFsync, fd: fd})
+				if staged {
+					// The staged write's panic surfaces on the next op.
+					if r.flags != FlagDeferredErr || Errno(r.pathLen) != EIO {
+						t.Fatalf("fsync after staged panic: flags %#x errno %v, want deferred EIO", r.flags, Errno(r.pathLen))
+					}
+				} else if r.flags != 0 || Errno(r.pathLen) != EOK {
+					t.Fatalf("fsync: flags %#x errno %v, want clean", r.flags, Errno(r.pathLen))
+				}
+				if used := s.bml.Used(); used != 0 {
+					t.Fatalf("staging pool holds %d bytes after fsync", used)
+				}
+				m := s.metrics
+				var wantQueued, wantWorker, wantConn uint64 = 0, 0, 1
+				if poolRun {
+					wantQueued, wantWorker, wantConn = 2, 1, 0
+				}
+				if got := uint64(m.stageQueue.Count()); got != wantQueued {
+					t.Fatalf("queue stage observed %d writes, want %d", got, wantQueued)
+				}
+				if wp, cp := m.workerPanics.Value(), m.connPanics.Value(); wp != wantWorker || cp != wantConn {
+					t.Fatalf("panics worker=%d conn=%d, want %d/%d", wp, cp, wantWorker, wantConn)
+				}
+
+				r, data := w.call(header{op: OpPread, fd: fd, length: n})
+				if r.flags != 0 || Errno(r.pathLen) != EOK || !bytes.Equal(data, payload) {
+					t.Fatalf("read back: flags %#x errno %v, %d bytes match=%v", r.flags, Errno(r.pathLen), len(data), bytes.Equal(data, payload))
+				}
+				if m.zeroCopyReplies.Value() != 1 {
+					t.Fatalf("zero-copy replies %d, want 1", m.zeroCopyReplies.Value())
+				}
+				waitPoolDrained(t, s)
+			})
+		}
+	}
+}
+
+// TestSchedulerRefusalRepliesUnexecuted: an op the scheduler refuses at
+// shutdown never ran. The write replies ECLOSED with value 0, not its
+// length; the read replies without a zero-copy frame; neither keeps a
+// staging buffer.
+func TestSchedulerRefusalRepliesUnexecuted(t *testing.T) {
+	for _, mode := range []Mode{ModeWorkQueue, ModeAsync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := NewServer(Config{Mode: mode, Workers: 1})
+			t.Cleanup(func() { _ = s.Close() })
+			w := newWireConn(t, s)
+			fd := w.open("refused")
+			s.sched.close() // the pool shuts down under a live connection
+			r, _ := w.call(header{op: OpPwrite, fd: fd, length: 1024}, make([]byte, 1024))
+			if Errno(r.pathLen) != ECLOSED || r.offset != 0 {
+				t.Fatalf("refused write: errno %v value %d, want ECLOSED 0", Errno(r.pathLen), r.offset)
+			}
+			r, data := w.call(header{op: OpPread, fd: fd, length: 1024})
+			if Errno(r.pathLen) != ECLOSED || len(data) != 0 {
+				t.Fatalf("refused read: errno %v with %d bytes, want ECLOSED and none", Errno(r.pathLen), len(data))
+			}
+			m := s.metrics
+			if m.zeroCopyReplies.Value() != 0 || m.queueRejects.Value() != 2 {
+				t.Fatalf("zero-copy replies %d, queue rejects %d, want 0 and 2", m.zeroCopyReplies.Value(), m.queueRejects.Value())
+			}
+			if used := s.bml.Used(); used != 0 {
+				t.Fatalf("staging pool holds %d bytes after refusals", used)
+			}
+		})
 	}
 }
 

@@ -442,26 +442,44 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 }
 
-// TestCrashFlagRejectsUnknownPoint: a -crash spec naming a point the WAL
-// never fires — a typo, or a point a later change retired — would arm a drill that cannot kill and reads as a pass. fwdd must refuse
-// it with exit status 2 and name the points that exist.
-func TestCrashFlagRejectsUnknownPoint(t *testing.T) {
+// TestFwddRejectsBadFlags: flag combinations that would arm a WAL feature
+// which can never act must be refused with exit status 2 before anything
+// touches the WAL directory. A -crash spec naming a point the WAL never
+// fires — a typo, or a point a later change retired — would arm a drill
+// that cannot kill and reads as a pass; the refusal names the points that
+// exist. A spill tier under a mode that acks no write early would be
+// opened and replayed, then ignored by the server.
+func TestFwddRejectsBadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-level drills in -short mode")
 	}
-	for _, spec := range []string{"no-such-point", "before-batch-snyc:3", "before-truncate:1,after-trunctae:1"} {
-		// A daemon that accepts the spec serves until the deadline kills it.
+	for _, tc := range []struct {
+		args []string
+		want []string // each must appear in the output
+	}{
+		{[]string{"-crash", "no-such-point"}, CrashPoints},
+		{[]string{"-crash", "before-batch-snyc:3"}, CrashPoints},
+		{[]string{"-crash", "before-truncate:1,after-trunctae:1"}, CrashPoints},
+		{[]string{"-mode", "direct"}, []string{"-mode async"}},
+		{[]string{"-mode", "workqueue"}, []string{"-mode async"}},
+	} {
+		walDir := filepath.Join(t.TempDir(), "wal")
+		args := append([]string{"-listen", "127.0.0.1:0", "-wal-dir", walDir}, tc.args...)
+		// A daemon that accepts the flags serves until the deadline kills it.
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		out, err := exec.CommandContext(ctx, buildFwdd(t), "-listen", "127.0.0.1:0", "-wal-dir", t.TempDir(), "-crash", spec).CombinedOutput()
+		out, err := exec.CommandContext(ctx, buildFwdd(t), args...).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("fwdd -crash %s: %v, want exit status 2\noutput:\n%s", spec, err, out)
+			t.Fatalf("fwdd %v: %v, want exit status 2\noutput:\n%s", tc.args, err, out)
 		}
-		for _, point := range CrashPoints {
-			if !bytes.Contains(out, []byte(point)) {
-				t.Fatalf("fwdd -crash %s: rejection does not list valid point %s\noutput:\n%s", spec, point, out)
+		for _, w := range tc.want {
+			if !bytes.Contains(out, []byte(w)) {
+				t.Fatalf("fwdd %v: rejection does not mention %q\noutput:\n%s", tc.args, w, out)
 			}
+		}
+		if _, err := os.Stat(walDir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("fwdd %v: WAL directory touched before the refusal (stat: %v)", tc.args, err)
 		}
 	}
 }
