@@ -90,10 +90,20 @@ func (f *memFile) WriteAt(b []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	end := off + int64(len(b))
-	if end > int64(len(f.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.data)
-		f.data = grown
+	if old := int64(len(f.data)); end > old {
+		// Grow capacity geometrically so an append stream is amortised
+		// O(1) per byte, and zero a hole a sparse write leaves in reused
+		// capacity so it never exposes stale bytes.
+		if end > int64(cap(f.data)) {
+			grown := make([]byte, end, max(end, 2*int64(cap(f.data))))
+			copy(grown, f.data)
+			f.data = grown
+		} else {
+			f.data = f.data[:end]
+			if off > old {
+				clear(f.data[old:off])
+			}
+		}
 	}
 	copy(f.data[off:end], b)
 	return len(b), nil

@@ -34,6 +34,68 @@ func TestMemBackendGrowAndOverwrite(t *testing.T) {
 	}
 }
 
+// TestMemBackendAppendAmortised: an append stream grows capacity
+// geometrically (allocations O(log n), not one whole-file copy per write),
+// Size stays exact, the data is byte-identical, and a sparse write past EOF
+// into reused capacity reads zeros in the hole.
+func TestMemBackendAppendAmortised(t *testing.T) {
+	const chunk, n = 4 << 10, 4096
+	b := NewMemBackend()
+	h, err := b.Open("f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := make([]byte, chunk)
+	want := make([]byte, 0, chunk*n)
+	for i := 0; i < n; i++ {
+		for j := range block {
+			block[j] = byte(i + j)
+		}
+		if _, err := h.WriteAt(block, int64(i*chunk)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, block...)
+	}
+	if size, _ := h.Size(); size != chunk*n {
+		t.Fatalf("size %d, want %d", size, chunk*n)
+	}
+	if got, _ := b.Bytes("f"); !bytes.Equal(got, want) {
+		t.Fatal("appended data differs")
+	}
+
+	allocs := testing.AllocsPerRun(1, func() {
+		g, _ := NewMemBackend().Open("g", true)
+		for i := 0; i < n; i++ {
+			_, _ = g.WriteAt(block, int64(i*chunk))
+		}
+	})
+	if allocs > 40 { // log2(4096) = 12 growths plus the backend and file
+		t.Fatalf("%v allocs for %d appends, want O(log n)", allocs, n)
+	}
+
+	// Sparse extend inside reused capacity: the hole reads as zeros even
+	// though the spare capacity holds stale bytes.
+	s, _ := NewMemBackend().Open("s", true)
+	mf := s.(*memFile)
+	mf.data = bytes.Repeat([]byte{0xAA}, 64)[:4]
+	if _, err := s.WriteAt([]byte("tail"), 32); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := s.Size(); size != 36 {
+		t.Fatalf("sparse size %d, want 36", size)
+	}
+	hole := make([]byte, 28)
+	if _, err := s.ReadAt(hole, 4); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hole, make([]byte, 28)) {
+		t.Fatalf("hole exposes stale bytes: %x", hole)
+	}
+	if cap(mf.data) != 64 {
+		t.Fatalf("sparse extend reallocated (cap %d), want reused capacity", cap(mf.data))
+	}
+}
+
 func TestMemBackendOpenMissing(t *testing.T) {
 	b := NewMemBackend()
 	if _, err := b.Open("missing", false); !errors.Is(err, ENOENT) {

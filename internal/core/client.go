@@ -40,7 +40,8 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	wmu sync.Mutex // serializes request frames on the current conn
+	wmu sync.Mutex       // serializes request frames on the current conn
+	whb [headerSize]byte // send's header array; guarded by wmu
 
 	mu      sync.Mutex
 	nc      net.Conn
@@ -67,17 +68,32 @@ type openFile struct {
 // timestamps the first transmission for the RTT estimator and the
 // congestion epoch filter; replayed marks calls re-sent after a failover,
 // whose round trips straddle a reconnect and must not feed the estimator
-// (Karn's algorithm).
+// (Karn's algorithm). resp is filled by readLoop and delivered as &resp, so
+// a call allocates no separate response.
+//
+// dst is the caller's buffer of a read (nil for every other op): readLoop
+// reads a reply payload that fits straight into it. Ownership rule: once
+// readLoop has removed a call from c.pending (the claim), it owns dst until
+// it sends on ch. Hence a caller whose context ends may return early only
+// if its own delete removed the call; otherwise it waits for the delivery,
+// which comes after the rest of one frame or when the connection fails. A
+// payload read that fails after the claim is a transport failure: readLoop
+// puts the call back into c.pending before connFailed, so it is replayed or
+// failed like any other in-flight op — unless its caller abandoned it, in
+// which case readLoop just releases it.
 type pendingCall struct {
-	ch       chan callResult
-	op       Op
-	fd       uint64 // client-visible fd
-	offset   uint64
-	length   uint32
-	path     string
-	payload  []byte
-	sentAt   time.Time
-	replayed bool // written under Client.mu; read after receiving on ch
+	ch        chan callResult
+	op        Op
+	fd        uint64 // client-visible fd
+	offset    uint64
+	length    uint32
+	path      string
+	payload   []byte
+	dst       []byte
+	resp      response
+	sentAt    time.Time
+	replayed  bool // written under Client.mu; read after receiving on ch
+	abandoned bool // under Client.mu: the caller's context ended after the claim
 }
 
 type callResult struct {
@@ -205,21 +221,18 @@ func (c *Client) Stats() ClientStats {
 }
 
 // readLoop demultiplexes responses to their callers by request id. One loop
-// runs per connection generation; a stale loop exits silently.
+// runs per connection generation; a stale loop exits silently. It claims a
+// reply's call before reading the payload, so a read reply lands in the
+// caller's buffer (see pendingCall for the ownership rule); a payload with
+// no buffer to land in — an unknown or late id, a non-read op, a reply
+// longer than the caller's slice — gets a fresh slice.
 func (c *Client) readLoop(nc net.Conn, gen uint64) {
+	var hb [headerSize]byte
 	var h header
 	for {
-		if err := readHeader(nc, &h); err != nil {
+		if err := readHeader(nc, &hb, &h); err != nil {
 			c.connFailed(gen, err)
 			return
-		}
-		var payload []byte
-		if h.length > 0 {
-			payload = make([]byte, h.length)
-			if _, err := io.ReadFull(nc, payload); err != nil {
-				c.connFailed(gen, err)
-				return
-			}
 		}
 		c.mu.Lock()
 		if c.gen != gen {
@@ -229,11 +242,45 @@ func (c *Client) readLoop(nc net.Conn, gen uint64) {
 		pc := c.pending[h.reqID]
 		delete(c.pending, h.reqID)
 		c.mu.Unlock()
-		if pc != nil {
-			pc.ch <- callResult{resp: &response{
-				flags: h.flags, errno: Errno(h.pathLen), value: int64(h.offset), payload: payload,
-			}}
+		var payload []byte
+		if h.length > 0 {
+			if pc != nil && int(h.length) <= len(pc.dst) {
+				payload = pc.dst[:h.length]
+			} else {
+				payload = make([]byte, h.length)
+			}
+			if _, err := io.ReadFull(nc, payload); err != nil {
+				if pc != nil {
+					c.unclaim(h.reqID, pc)
+				}
+				c.connFailed(gen, err)
+				return
+			}
 		}
+		if pc != nil {
+			pc.resp = response{flags: h.flags, errno: Errno(h.pathLen), value: int64(h.offset), payload: payload}
+			pc.ch <- callResult{resp: &pc.resp}
+		}
+	}
+}
+
+// unclaim hands a call back after its payload read failed, ending readLoop's
+// ownership of dst: into c.pending for connFailed to replay or fail, or
+// straight to its caller if the caller abandoned it or the client has
+// failed. Only readLoop calls connFailed for its own generation, so the
+// generation cannot have moved on since the claim.
+func (c *Client) unclaim(id uint64, pc *pendingCall) {
+	c.mu.Lock()
+	err := c.lastErr
+	if err == nil && pc.abandoned {
+		err = ErrConnectionLost
+	}
+	if err == nil {
+		c.pending[id] = pc
+	}
+	c.mu.Unlock()
+	if err != nil {
+		pc.ch <- callResult{err: err}
 	}
 }
 
@@ -388,14 +435,15 @@ func (c *Client) reconnect(cause error, files []*openFile, replay []*pendingCall
 // Request ids live far above the call namespace to stay unique.
 func reopenFiles(nc net.Conn, files []*openFile) error {
 	id := uint64(1) << 62
+	var hb [headerSize]byte
 	var h header
 	for _, f := range files {
 		id++
 		req := header{op: OpOpen, reqID: id, pathLen: uint16(len(f.name))}
-		if err := writeFrame(nc, &req, []byte(f.name)); err != nil {
+		if err := writeFrame(nc, &hb, &req, f.name, nil); err != nil {
 			return err
 		}
-		if err := readHeader(nc, &h); err != nil {
+		if err := readHeader(nc, &hb, &h); err != nil {
 			return err
 		}
 		if h.length > 0 {
@@ -423,7 +471,7 @@ func (c *Client) send(nc net.Conn, id uint64, pc *pendingCall) error {
 	h := header{op: pc.op, reqID: id, fd: fd, offset: pc.offset,
 		length: pc.length, pathLen: uint16(len(pc.path))}
 	c.wmu.Lock()
-	err := writeFrame(nc, &h, []byte(pc.path), pc.payload)
+	err := writeFrame(nc, &c.whb, &h, pc.path, pc.payload)
 	c.wmu.Unlock()
 	return err
 }
@@ -445,15 +493,16 @@ func (c *Client) ctxErr(ctx context.Context, op Op, what string) error {
 // response, and retry backoff — and ClientConfig.Timeout is layered on as a
 // derived deadline, so the op fails when either the caller's context or the
 // per-op budget expires. EAGAIN (shed) responses are retried with backoff
-// for safely retryable data operations.
-func (c *Client) call(ctx context.Context, op Op, fd uint64, offset uint64, length uint32, path string, payload []byte) (*response, error) {
+// for safely retryable data operations. dst is a read's destination (nil
+// for every other op): a reply payload that fits is read straight into it.
+func (c *Client) call(ctx context.Context, op Op, fd uint64, offset uint64, length uint32, path string, payload, dst []byte) (*response, error) {
 	if c.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
 		defer cancel()
 	}
 	for attempt := 0; ; attempt++ {
-		r, err := c.callOnce(ctx, op, fd, offset, length, path, payload)
+		r, err := c.callOnce(ctx, op, fd, offset, length, path, payload, dst)
 		if err != nil {
 			return nil, err
 		}
@@ -487,7 +536,7 @@ func retryableErrno(op Op) bool {
 // under ctx. It also feeds the congestion controller — a clean response is
 // an ack (with an RTT sample unless the op was replayed across a
 // reconnect), an EAGAIN or a deadline expiry is a congestion signal.
-func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, length uint32, path string, payload []byte) (*response, error) {
+func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, length uint32, path string, payload, dst []byte) (*response, error) {
 	if c.cg != nil {
 		if err := c.cg.acquire(ctx); err != nil {
 			if ctx.Err() != nil {
@@ -499,7 +548,7 @@ func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, 
 	}
 	pc := &pendingCall{
 		ch: make(chan callResult, 1),
-		op: op, fd: fd, offset: offset, length: length, path: path, payload: payload,
+		op: op, fd: fd, offset: offset, length: length, path: path, payload: payload, dst: dst,
 	}
 	// Admission: wait for an installed connection (reconnects park callers
 	// here) or a terminal error, then register the call under the lock.
@@ -530,14 +579,15 @@ func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, 
 	pc.sentAt = time.Now()
 	c.pending[id] = pc
 	nc := c.nc
-	gen := c.gen
 	c.mu.Unlock()
 
 	if err := c.send(nc, id, pc); err != nil {
-		// A write failure is a transport failure: let connFailed decide the
-		// outcome of this call (replay or typed error) like any other
-		// in-flight op, then wait for it.
-		c.connFailed(gen, err)
+		// A write failure is a transport failure. Closing nc hands it to
+		// the generation's readLoop, the only caller of connFailed for its
+		// own connection (so no failover can split c.pending while readLoop
+		// holds a claimed call); connFailed then decides this call's outcome
+		// (replay or typed error) like any other in-flight op.
+		_ = nc.Close()
 	}
 	select {
 	case res := <-pc.ch:
@@ -554,8 +604,13 @@ func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, 
 		return res.resp, res.err
 	case <-ctx.Done():
 		c.mu.Lock()
+		_, mine := c.pending[id]
 		delete(c.pending, id) // a late response is dropped by readLoop
+		pc.abandoned = !mine
 		c.mu.Unlock()
+		if !mine && dst != nil {
+			<-pc.ch // readLoop claimed the reply and owns dst until it delivers
+		}
 		if c.cg != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			c.cg.onCongestion(pc.sentAt)
 		}
@@ -581,7 +636,7 @@ func (c *Client) Open(ctx context.Context, name string) (*File, error) {
 	if len(name) == 0 || len(name) > MaxPath {
 		return nil, EINVAL
 	}
-	r, err := c.call(ctx, OpOpen, 0, 0, 0, name, nil)
+	r, err := c.call(ctx, OpOpen, 0, 0, 0, name, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -599,7 +654,7 @@ func (c *Client) Open(ctx context.Context, name string) (*File, error) {
 // Flush blocks until every staged operation on this connection has
 // completed on the server.
 func (c *Client) Flush(ctx context.Context) error {
-	r, err := c.call(ctx, OpFlush, 0, 0, 0, "", nil)
+	r, err := c.call(ctx, OpFlush, 0, 0, 0, "", nil, nil)
 	if err != nil {
 		return err
 	}
@@ -663,7 +718,7 @@ func (f *File) WriteCtx(ctx context.Context, b []byte) (int, error) {
 	if len(b) > MaxPayload {
 		return 0, EINVAL
 	}
-	r, err := f.c.call(ctx, OpWrite, f.fd, 0, uint32(len(b)), "", b)
+	r, err := f.c.call(ctx, OpWrite, f.fd, 0, uint32(len(b)), "", b, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -691,7 +746,7 @@ func (f *File) WriteAtCtx(ctx context.Context, b []byte, off int64) (int, error)
 			return n, err
 		}
 	}
-	r, err := f.c.call(ctx, OpPwrite, f.fd, uint64(off), uint32(len(b)), "", b)
+	r, err := f.c.call(ctx, OpPwrite, f.fd, uint64(off), uint32(len(b)), "", b, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -704,16 +759,18 @@ func (f *File) WriteAt(b []byte, off int64) (int, error) {
 }
 
 // ReadCtx fills b from the server-side cursor. Reads always block for the
-// data and are ordered behind staged writes on the same descriptor.
+// data and are ordered behind staged writes on the same descriptor. The
+// reply is read from the connection straight into b, so b may be partly
+// written even when ReadCtx fails; on an error its contents are unspecified.
 func (f *File) ReadCtx(ctx context.Context, b []byte) (int, error) {
 	if len(b) > MaxPayload {
 		return 0, EINVAL
 	}
-	r, err := f.c.call(ctx, OpRead, f.fd, 0, uint32(len(b)), "", nil)
+	r, err := f.c.call(ctx, OpRead, f.fd, 0, uint32(len(b)), "", nil, b)
 	if err != nil {
 		return 0, err
 	}
-	return copy(b, r.payload), respErr(f.fd, r)
+	return landed(b, r.payload), respErr(f.fd, r)
 }
 
 // Read fills b from the server-side cursor with no caller context.
@@ -722,16 +779,29 @@ func (f *File) Read(b []byte) (int, error) {
 }
 
 // ReadAtCtx fills b from the given offset. ReadAtCtx is idempotent and
-// replayed across reconnects like WriteAtCtx.
+// replayed across reconnects like WriteAtCtx. The reply is read from the
+// connection straight into b, so b may be partly written even when
+// ReadAtCtx fails; on an error its contents are unspecified, as for
+// io.ReaderAt.
 func (f *File) ReadAtCtx(ctx context.Context, b []byte, off int64) (int, error) {
 	if len(b) > MaxPayload || off < 0 {
 		return 0, EINVAL
 	}
-	r, err := f.c.call(ctx, OpPread, f.fd, uint64(off), uint32(len(b)), "", nil)
+	r, err := f.c.call(ctx, OpPread, f.fd, uint64(off), uint32(len(b)), "", nil, b)
 	if err != nil {
 		return 0, err
 	}
-	return copy(b, r.payload), respErr(f.fd, r)
+	return landed(b, r.payload), respErr(f.fd, r)
+}
+
+// landed returns how many reply bytes b holds: readLoop read a payload that
+// fits straight into b, so only a fallback payload (longer than b) is
+// copied, truncated to len(b).
+func landed(b, payload []byte) int {
+	if len(payload) > 0 && len(b) > 0 && &payload[0] == &b[0] {
+		return len(payload)
+	}
+	return copy(b, payload)
 }
 
 // ReadAt fills b from the given offset with no caller context.
@@ -742,7 +812,7 @@ func (f *File) ReadAt(b []byte, off int64) (int, error) {
 // SyncCtx drains staged operations on this descriptor and syncs the
 // backend; it reports any deferred error.
 func (f *File) SyncCtx(ctx context.Context) error {
-	r, err := f.c.call(ctx, OpFsync, f.fd, 0, 0, "", nil)
+	r, err := f.c.call(ctx, OpFsync, f.fd, 0, 0, "", nil, nil)
 	if err != nil {
 		return err
 	}
@@ -757,7 +827,7 @@ func (f *File) Sync() error {
 
 // StatCtx returns the remote object's current size.
 func (f *File) StatCtx(ctx context.Context) (int64, error) {
-	r, err := f.c.call(ctx, OpStat, f.fd, 0, 0, "", nil)
+	r, err := f.c.call(ctx, OpStat, f.fd, 0, 0, "", nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -772,7 +842,7 @@ func (f *File) Stat() (int64, error) {
 // PollError retrieves (and clears) a pending deferred error without
 // performing I/O.
 func (f *File) PollError() error {
-	r, err := f.c.call(context.Background(), OpErrPoll, f.fd, 0, 0, "", nil)
+	r, err := f.c.call(context.Background(), OpErrPoll, f.fd, 0, 0, "", nil, nil)
 	if err != nil {
 		return err
 	}
@@ -782,7 +852,7 @@ func (f *File) PollError() error {
 // Close drains staged operations, closes the remote descriptor, and
 // reports any unconsumed deferred error.
 func (f *File) Close() error {
-	r, err := f.c.call(context.Background(), OpClose, f.fd, 0, 0, "", nil)
+	r, err := f.c.call(context.Background(), OpClose, f.fd, 0, 0, "", nil, nil)
 	if err != nil {
 		return err
 	}

@@ -149,7 +149,7 @@ func (co *coalescer) send(buf *coalBuf) {
 	// with their callers' contexts, and an individual cancellation must not
 	// cancel neighbors' bytes. ClientConfig.Timeout still bounds the op
 	// inside call, and Client.Close fails it fast.
-	r, err := co.c.call(context.Background(), OpPwrite, buf.fd, buf.off, uint32(len(data)), "", data)
+	r, err := co.c.call(context.Background(), OpPwrite, buf.fd, buf.off, uint32(len(data)), "", data, nil)
 	if err != nil {
 		for _, s := range subs {
 			s.done <- coalResult{0, err}

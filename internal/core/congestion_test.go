@@ -207,15 +207,16 @@ func (s *capacityServer) run() {
 func (s *capacityServer) serve(nc net.Conn) {
 	defer nc.Close()
 	var wmu sync.Mutex
+	var whb, rhb [headerSize]byte
 	reply := func(op Op, reqID uint64, errno Errno, value uint64) {
 		h := header{op: op, reqID: reqID, offset: value, pathLen: uint16(errno)}
 		wmu.Lock()
-		_ = writeFrame(nc, &h)
+		_ = writeFrame(nc, &whb, &h, "", nil)
 		wmu.Unlock()
 	}
 	var h header
 	for {
-		if err := readHeader(nc, &h); err != nil {
+		if err := readHeader(nc, &rhb, &h); err != nil {
 			return
 		}
 		if h.pathLen > 0 {

@@ -133,29 +133,32 @@ func decodeHeader(b *[headerSize]byte, h *header) error {
 	return nil
 }
 
-// writeFrame writes a header and optional trailing segments in one call.
-func writeFrame(w io.Writer, h *header, segments ...[]byte) error {
-	var hb [headerSize]byte
-	h.encode(&hb)
+// writeFrame encodes h into hb and writes it, followed by the optional path
+// and payload. The caller owns hb (a per-connection array guarded by its
+// write lock), so no frame allocates a header.
+func writeFrame(w io.Writer, hb *[headerSize]byte, h *header, path string, payload []byte) error {
+	h.encode(hb)
 	if _, err := w.Write(hb[:]); err != nil {
 		return err
 	}
-	for _, seg := range segments {
-		if len(seg) == 0 {
-			continue
+	if path != "" {
+		if _, err := io.WriteString(w, path); err != nil {
+			return err
 		}
-		if _, err := w.Write(seg); err != nil {
+	}
+	if len(payload) > 0 {
+		if _, err := w.Write(payload); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readHeader reads and decodes one frame header.
-func readHeader(r io.Reader, h *header) error {
-	var hb [headerSize]byte
+// readHeader reads one frame header into hb and decodes it into h. The
+// caller owns hb (one array per reading goroutine), so no frame allocates.
+func readHeader(r io.Reader, hb *[headerSize]byte, h *header) error {
 	if _, err := io.ReadFull(r, hb[:]); err != nil {
 		return err
 	}
-	return decodeHeader(&hb, h)
+	return decodeHeader(hb, h)
 }

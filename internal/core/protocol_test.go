@@ -58,14 +58,15 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 func TestWriteFrameSegments(t *testing.T) {
 	var buf bytes.Buffer
 	h := header{op: OpOpen, reqID: 1, pathLen: 3, length: 5}
-	if err := writeFrame(&buf, &h, []byte("abc"), []byte("hello")); err != nil {
+	var hb [headerSize]byte
+	if err := writeFrame(&buf, &hb, &h, "abc", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != headerSize+3+5 {
 		t.Fatalf("frame length %d", buf.Len())
 	}
 	var out header
-	if err := readHeader(&buf, &out); err != nil {
+	if err := readHeader(&buf, &hb, &out); err != nil {
 		t.Fatal(err)
 	}
 	rest := buf.Bytes()

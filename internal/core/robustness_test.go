@@ -186,8 +186,9 @@ func TestOpDeadline(t *testing.T) {
 	c := pipeClient(t, ClientConfig{Timeout: 100 * time.Millisecond}, cc)
 	defer c.Close()
 	go func() {
+		var hb [headerSize]byte
 		var h header
-		if err := readHeader(sc, &h); err != nil {
+		if err := readHeader(sc, &hb, &h); err != nil {
 			return
 		}
 		_, _ = io.CopyN(io.Discard, sc, int64(h.pathLen))

@@ -326,9 +326,12 @@ type serverConn struct {
 
 	// wmu is the reply lock: a response frame is written whole under it, so
 	// the handler's inline replies and the ack writer's batches never
-	// interleave on the wire. out is nc's write side; every use holds wmu.
+	// interleave on the wire. out is nc's write side and whb the header
+	// array reply encodes into; every use of either holds wmu.
 	wmu sync.Mutex
 	out io.Writer
+	whb [headerSize]byte
+	rhb [headerSize]byte // run's header reads; only the handler touches it
 
 	// Pipelined spill acks; nil on a server without a spill tier. slots
 	// holds one token per spilled write submitted and not yet answered; acks
@@ -352,7 +355,7 @@ func (c *serverConn) run() (err error) {
 	}()
 	var h header
 	for {
-		if err := readHeader(c.nc, &h); err != nil {
+		if err := readHeader(c.nc, &c.rhb, &h); err != nil {
 			return err
 		}
 		if err := c.dispatch(&h); err != nil {
@@ -386,7 +389,7 @@ func (c *serverConn) reply(reqID uint64, flags uint16, errno Errno, value int64)
 	}
 	t0 := time.Now()
 	c.wmu.Lock()
-	err := writeFrame(c.out, &h)
+	err := writeFrame(c.out, &c.whb, &h, "", nil)
 	c.wmu.Unlock()
 	m.stageReply.Observe(time.Since(t0).Nanoseconds())
 	return err

@@ -360,11 +360,16 @@ func (w *wireConn) call(h header, segments ...[]byte) (header, []byte) {
 	w.t.Helper()
 	w.req++
 	h.reqID = w.req
-	if err := writeFrame(w.nc, &h, segments...); err != nil {
+	var tail []byte
+	for _, seg := range segments {
+		tail = append(tail, seg...)
+	}
+	var hb [headerSize]byte
+	if err := writeFrame(w.nc, &hb, &h, "", tail); err != nil {
 		w.t.Fatal(err)
 	}
 	var r header
-	if err := readHeader(w.nc, &r); err != nil {
+	if err := readHeader(w.nc, &hb, &r); err != nil {
 		w.t.Fatal(err)
 	}
 	data := make([]byte, r.length)
