@@ -1,22 +1,14 @@
 // Command iofwdlint runs the repository's custom static analyzers (see
 // internal/analysis) over Go packages. It mechanically enforces the
 // invariants the forwarding stack's correctness rests on: sim determinism
-// (simclock), no blocking under locks (lockhold), metric naming
-// (metricname), wire-error classification (errnofact), opcode
-// exhaustiveness (opexhaustive), and trace/label formatting discipline
-// (tracefmt). metricname and errnofact exchange cross-package facts;
-// under go vet those flow through per-package .vetx files, so both
-// drivers report the same cross-package findings.
-//
-// Standalone:
+// (simclock), no blocking under locks (lockhold), wire-error
+// classification (errnowrap), opcode exhaustiveness (opexhaustive),
+// joined goroutines (goroleak), context propagation (ctxpropagate), and
+// trace/label formatting discipline (tracefmt). Every rule is checked
+// within one package, so only the packages matching the patterns are
+// analyzed:
 //
 //	go run ./cmd/iofwdlint ./...
-//
-// As a vet tool (unitchecker protocol — go vet type-checks each package
-// with export data and hands this binary a .cfg file per package):
-//
-//	go build -o /tmp/iofwdlint ./cmd/iofwdlint
-//	go vet -vettool=/tmp/iofwdlint ./...
 //
 // Diagnostics are suppressed by `//lint:allow <analyzer> <reason>` on the
 // offending line or the line above; the reason is mandatory.
@@ -25,36 +17,15 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/load"
 )
 
 func main() {
-	// The go vet driver probes the tool's identity with -V=full and its
-	// flag set with -flags (a JSON array of flag descriptors; we expose
-	// none) before handing it package configs.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		// The go command keys its vet result cache (including the .vetx
-		// fact files) on the trailing buildID= field, so print a content
-		// hash of this executable: unchanged tool -> cache hits, rebuilt
-		// tool -> full re-vet. Falling back to "do-not-cache" on error
-		// disables caching rather than serving stale results.
-		//lint:allow tracefmt buildID= is the go command's required field name, not a trace key
-		fmt.Printf("iofwdlint version devel buildID=%s\n", toolBuildID())
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-
 	listOnly := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: iofwdlint [packages]   (default ./...)\n\nanalyzers:\n")
@@ -70,34 +41,10 @@ func main() {
 		}
 		return
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetMode(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(lint(flag.Args()))
 }
 
-// toolBuildID hashes the running executable so go vet's cache key tracks
-// the tool's actual contents.
-func toolBuildID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "do-not-cache"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "do-not-cache"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "do-not-cache"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
-}
-
-func standalone(patterns []string) int {
+func lint(patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -111,9 +58,6 @@ func standalone(patterns []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	// The full deps-first package list (not just the targets) goes to the
-	// runner: module-local dependencies are analyzed facts-only so targets
-	// see their facts, mirroring what go vet provides through .vetx files.
 	findings := analysis.Run(pkgs, fset, analysis.Analyzers(), analysis.Options{})
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, f)

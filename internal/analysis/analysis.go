@@ -1,7 +1,7 @@
 // Package analysis is iofwdlint: a suite of static analyzers that turn the
-// repository's determinism, locking, error-classification, and metric-naming
+// repository's determinism, locking, error-classification, and trace-format
 // invariants into mechanical checks. The API deliberately mirrors
-// golang.org/x/tools/go/analysis (Analyzer / Pass / Diagnostic / Fact) so
+// golang.org/x/tools/go/analysis (Analyzer / Pass / Diagnostic) so
 // the suite can migrate onto the upstream framework wholesale if the
 // dependency ever becomes available; until then the stdlib-only driver in
 // this package and the loader in internal/analysis/load stand in for it.
@@ -43,7 +43,6 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	facts *Facts
 	diags []Diagnostic
 }
 
@@ -58,18 +57,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Scope reports whether the analyzer reports diagnostics for a package
-	// import path. A nil Scope means every package. Analyzers that declare
-	// FactTypes still *run* on out-of-scope module packages — facts must be
-	// produced wherever the objects they describe live — but their
-	// diagnostics there are discarded. Fixture tests bypass Scope entirely.
+	// Scope reports whether the analyzer runs on a package import path. A
+	// nil Scope means every package. Fixture tests bypass Scope entirely.
 	Scope func(pkgPath string) bool
-	// FactTypes lists the fact types the analyzer exports or imports (one
-	// exemplar pointer per type). Declaring them opts the analyzer into
-	// running on every module package the driver loads, and is what makes
-	// its facts survive the vetx round-trip under go vet.
-	FactTypes []Fact
-	Run       func(*Pass) error
+	Run   func(*Pass) error
 }
 
 // Finding is a located, attributed diagnostic ready for printing.
@@ -88,8 +79,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewSimclock(),
 		NewLockhold(),
-		NewMetricname(),
-		NewErrnofact(),
+		NewErrnowrap(),
 		NewOpexhaustive(),
 		NewGoroleak(),
 		NewCtxpropagate(),
@@ -104,102 +94,19 @@ type Options struct {
 	IgnoreScope bool
 }
 
-// Run executes the analyzers over the loaded packages and returns the
-// surviving findings sorted by position. pkgs should be the full
-// `go list -deps` output in dependency order (not just the targets):
-// module-local dependency packages are analyzed facts-only so targets can
-// import their facts, exactly as the vet driver sees them through .vetx
-// files. Allow directives are applied and malformed directives are
-// reported here, so every driver (CLI, vet shim, fixture tests) shares
-// identical suppression semantics.
+// Run executes the analyzers over the target packages and returns the
+// surviving findings sorted by position. Dependencies in pkgs are skipped:
+// every rule is checked within one package. Allow directives are applied
+// and malformed directives are reported here, so the CLI and the fixture
+// tests share identical suppression semantics.
 func Run(pkgs []*load.Package, fset *token.FileSet, analyzers []*Analyzer, opts Options) []Finding {
-	findings, _ := RunWithFacts(pkgs, fset, analyzers, opts)
-	return findings
-}
-
-// RunWithFacts is Run, additionally returning the fact store accumulated
-// across the run (analysistest asserts against it).
-func RunWithFacts(pkgs []*load.Package, fset *token.FileSet, analyzers []*Analyzer, opts Options) ([]Finding, *Facts) {
-	facts := NewFacts()
 	var findings []Finding
 	for _, pkg := range pkgs {
-		if pkg.Types == nil || pkg.Info == nil {
-			continue // external dep: checked API-only, no fact production
-		}
-		if !pkg.Target && !pkg.Local {
+		if !pkg.Target || pkg.Types == nil || pkg.Info == nil {
 			continue
 		}
-		fs := runPackage(pkg.ImportPath, pkg.Syntax, pkg.Types, pkg.Info, fset, analyzers, opts, facts, pkg.Target)
-		findings = append(findings, fs...)
+		findings = append(findings, runPackage(pkg, fset, analyzers, opts)...)
 	}
-	sortFindings(findings)
-	return findings, facts
-}
-
-// RunSingle analyzes one pre-type-checked package: the vet -vettool path,
-// where the go command supplies per-package type information and facts
-// arrive through the .vetx files of the package's dependencies. When
-// factsOnly is set (the .cfg's VetxOnly), only fact-declaring analyzers
-// run and no diagnostics are reported — the package is being analyzed for
-// its facts, not vetted itself.
-func RunSingle(importPath string, files []*ast.File, pkg *types.Package, info *types.Info, fset *token.FileSet, facts *Facts, factsOnly bool) []Finding {
-	if facts == nil {
-		facts = NewFacts()
-	}
-	findings := runPackage(importPath, files, pkg, info, fset, Analyzers(), Options{}, facts, !factsOnly)
-	sortFindings(findings)
-	return findings
-}
-
-func runPackage(importPath string, files []*ast.File, pkg *types.Package, info *types.Info, fset *token.FileSet, analyzers []*Analyzer, opts Options, facts *Facts, report bool) []Finding {
-	// The invariants guard production code; test files use throwaway metric
-	// names, real clocks for timeouts, and ad-hoc errors by design. The
-	// standalone loader never feeds test files, but the vet -vettool path
-	// does, so filter here to keep the two drivers in agreement.
-	files = withoutTestFiles(fset, files)
-	var findings []Finding
-	dirs := collectDirectives(fset, files)
-	for _, a := range analyzers {
-		inScope := opts.IgnoreScope || a.Scope == nil || a.Scope(importPath)
-		// Out-of-scope and facts-only passes still run fact-declaring
-		// analyzers: their facts describe this package's objects for
-		// importers to consume. Everything else is skipped outright.
-		if (!inScope || !report) && len(a.FactTypes) == 0 {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     fset,
-			Files:    files,
-			Pkg:      pkg,
-			Info:     info,
-			facts:    facts,
-		}
-		if err := a.Run(pass); err != nil {
-			findings = append(findings, Finding{
-				Analyzer: a.Name,
-				Message:  fmt.Sprintf("analyzer failed: %v", err),
-			})
-			continue
-		}
-		if !inScope || !report {
-			continue // fact production only; diagnostics discarded
-		}
-		for _, d := range pass.diags {
-			pos := fset.Position(d.Pos)
-			if dirs.allows(a.Name, pos) {
-				continue
-			}
-			findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
-		}
-	}
-	if report {
-		findings = append(findings, dirs.malformed...)
-	}
-	return findings
-}
-
-func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -210,18 +117,39 @@ func sortFindings(findings []Finding) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return findings
 }
 
-// withoutTestFiles drops *_test.go files from the analysis set.
-func withoutTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
-	kept := files[:0:0]
-	for _, f := range files {
-		if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+func runPackage(pkg *load.Package, fset *token.FileSet, analyzers []*Analyzer, opts Options) []Finding {
+	dirs := collectDirectives(fset, pkg.Syntax)
+	findings := dirs.malformed
+	for _, a := range analyzers {
+		if !opts.IgnoreScope && a.Scope != nil && !a.Scope(pkg.ImportPath) {
 			continue
 		}
-		kept = append(kept, f)
+		pass := &Pass{
+			Analyzer: a,
+			Fset:     fset,
+			Files:    pkg.Syntax,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+		}
+		if err := a.Run(pass); err != nil {
+			findings = append(findings, Finding{
+				Analyzer: a.Name,
+				Message:  fmt.Sprintf("analyzer failed: %v", err),
+			})
+			continue
+		}
+		for _, d := range pass.diags {
+			pos := fset.Position(d.Pos)
+			if dirs.allows(a.Name, pos) {
+				continue
+			}
+			findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+		}
 	}
-	return kept
+	return findings
 }
 
 // directiveSet indexes //lint:allow directives by file and line.

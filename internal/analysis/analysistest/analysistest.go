@@ -1,20 +1,16 @@
 // Package analysistest runs an analyzer over a fixture package under
-// internal/analysis/testdata/src and compares its diagnostics and exported
-// facts against `// want` comments in the fixture, in the style of
+// internal/analysis/testdata/src and compares its diagnostics against
+// `// want` comments in the fixture, in the style of
 // golang.org/x/tools/go/analysis/analysistest.
 //
 // Expectation syntax: a comment anywhere on a line of the form
 //
-//	// want "re1" `re2` name:"re3" ...
+//	// want "re1" `re2` ...
 //
-// Each token is either a diagnostic expectation (a bare "regexp" or
-// `regexp`) requiring a matching diagnostic on that line, or a fact
-// expectation (name:"regexp", where name is the analyzer's name) requiring
-// a fact whose fmt.Sprint rendering matches, attached to an object
-// declared on that line (object facts) or to the package clause (package
-// facts). Lines without a want comment must produce no diagnostics and
-// export no facts; that is how `//lint:allow` suppression is asserted —
-// the violation is present but no want comment accompanies it.
+// Each token (a quoted "regexp" or backquoted `regexp`) requires a matching
+// diagnostic on that line. Lines without a want comment must produce no
+// diagnostics; that is how `//lint:allow` suppression is asserted — the
+// violation is present but no want comment accompanies it.
 package analysistest
 
 import (
@@ -32,20 +28,18 @@ import (
 var wantCommentRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // wantTokenRE matches one expectation token at the start of the remainder:
-// an optional analyzer-name prefix, then a quoted or backquoted pattern.
-var wantTokenRE = regexp.MustCompile("^(?:([A-Za-z_][A-Za-z0-9_]*):)?(?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`)")
+// a quoted or backquoted pattern.
+var wantTokenRE = regexp.MustCompile("^(?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`)")
 
-// expectation is one parsed want token.
-type expectation struct {
-	fact bool // name:"re" token — matches a fact, not a diagnostic
-	name string
-	re   *regexp.Regexp
+// key is one fixture line.
+type key struct {
+	file string
+	line int
 }
 
 // Run loads testdata/src/<fixture>/... relative to the module root,
-// applies a fresh analyzer from mk, and checks diagnostics and facts
-// against the fixture's want comments. Scope is bypassed: fixtures are
-// always analyzed.
+// applies a fresh analyzer from mk, and checks its diagnostics against the
+// fixture's want comments. Scope is bypassed: fixtures are always analyzed.
 func Run(t *testing.T, mk func() *analysis.Analyzer, fixture string) {
 	t.Helper()
 	root := moduleRoot(t)
@@ -58,85 +52,30 @@ func Run(t *testing.T, mk func() *analysis.Analyzer, fixture string) {
 	if len(targets) == 0 {
 		t.Fatalf("fixture %s matched no packages", fixture)
 	}
+	want := make(map[key][]*regexp.Regexp)
 	for _, p := range targets {
 		for _, e := range p.TypeErrors {
 			t.Errorf("fixture %s: type error: %v", p.ImportPath, e)
 		}
-	}
-
-	a := mk()
-	findings, facts := analysis.RunWithFacts(pkgs, fset, []*analysis.Analyzer{a}, analysis.Options{IgnoreScope: true})
-
-	type key struct {
-		file string
-		line int
-	}
-	gotDiags := make(map[key][]string)
-	for _, f := range findings {
-		k := key{f.Pos.Filename, f.Pos.Line}
-		gotDiags[k] = append(gotDiags[k], f.Message)
-	}
-
-	// Facts are asserted only at positions inside the fixture's own files:
-	// module-local dependencies outside the fixture may legitimately export
-	// facts the fixture never mentions.
-	fixtureFiles := make(map[string]bool)
-	for _, p := range targets {
-		for _, f := range p.GoFiles {
-			fixtureFiles[f] = true
-		}
-	}
-	gotFacts := make(map[key][]string)
-	addFact := func(pos int, file string, fact analysis.Fact) {
-		if !fixtureFiles[file] {
-			return
-		}
-		k := key{file, pos}
-		gotFacts[k] = append(gotFacts[k], fmt.Sprint(fact))
-	}
-	for _, pf := range facts.AllPackage() {
-		if pf.Pos.IsValid() {
-			p := fset.Position(pf.Pos)
-			addFact(p.Line, p.Filename, pf.Fact)
-		}
-	}
-	for _, of := range facts.AllObject() {
-		if of.Pos.IsValid() {
-			p := fset.Position(of.Pos)
-			addFact(p.Line, p.Filename, of.Fact)
-		}
-	}
-
-	want := make(map[key][]expectation)
-	for _, p := range targets {
 		for _, file := range p.GoFiles {
-			for k, exps := range parseWants(t, file) {
-				want[k] = exps
-			}
+			parseWants(t, file, want)
 		}
 	}
 
-	// Every want must be matched by exactly one diagnostic or fact on its
-	// line, and every diagnostic and fixture-file fact must be wanted.
-	for k, exps := range want {
-		diags, fcts := gotDiags[k], gotFacts[k]
-		for _, exp := range exps {
-			if exp.fact {
-				if exp.name != a.Name {
-					t.Errorf("%s:%d: fact want %q names analyzer %q, but running %q", k.file, k.line, exp.re, exp.name, a.Name)
-					continue
-				}
-				idx := matchIndex(fcts, exp.re)
-				if idx < 0 {
-					t.Errorf("%s:%d: no fact matching %q (got %v)", k.file, k.line, exp.re, fcts)
-					continue
-				}
-				fcts = append(fcts[:idx], fcts[idx+1:]...)
-				continue
-			}
-			idx := matchIndex(diags, exp.re)
+	got := make(map[key][]string)
+	for _, f := range analysis.Run(pkgs, fset, []*analysis.Analyzer{mk()}, analysis.Options{IgnoreScope: true}) {
+		k := key{f.Pos.Filename, f.Pos.Line}
+		got[k] = append(got[k], f.Message)
+	}
+
+	// Every want must be matched by exactly one diagnostic on its line, and
+	// every diagnostic must be wanted.
+	for k, res := range want {
+		diags := got[k]
+		for _, re := range res {
+			idx := matchIndex(diags, re)
 			if idx < 0 {
-				t.Errorf("%s:%d: no diagnostic matching %q (got %v)", k.file, k.line, exp.re, diags)
+				t.Errorf("%s:%d: no diagnostic matching %q (got %v)", k.file, k.line, re, diags)
 				continue
 			}
 			diags = append(diags[:idx], diags[idx+1:]...)
@@ -144,17 +83,10 @@ func Run(t *testing.T, mk func() *analysis.Analyzer, fixture string) {
 		if len(diags) > 0 {
 			t.Errorf("%s:%d: unexpected extra diagnostics %v", k.file, k.line, diags)
 		}
-		if len(fcts) > 0 {
-			t.Errorf("%s:%d: unexpected extra facts %v", k.file, k.line, fcts)
-		}
-		delete(gotDiags, k)
-		delete(gotFacts, k)
+		delete(got, k)
 	}
-	for k, msgs := range gotDiags {
+	for k, msgs := range got {
 		t.Errorf("%s:%d: unexpected diagnostics %v", k.file, k.line, msgs)
-	}
-	for k, fcts := range gotFacts {
-		t.Errorf("%s:%d: unexpected facts %v", k.file, k.line, fcts)
 	}
 }
 
@@ -167,28 +99,19 @@ func matchIndex(msgs []string, re *regexp.Regexp) int {
 	return -1
 }
 
-// parseWants extracts want expectations from one fixture file.
-func parseWants(t *testing.T, file string) map[struct {
-	file string
-	line int
-}][]expectation {
+// parseWants adds the want expectations of one fixture file to out.
+func parseWants(t *testing.T, file string, out map[key][]*regexp.Regexp) {
 	t.Helper()
-	type key = struct {
-		file string
-		line int
-	}
 	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("reading fixture %s: %v", file, err)
 	}
-	out := make(map[key][]expectation)
 	for i, line := range strings.Split(string(data), "\n") {
 		m := wantCommentRE.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		rest := m[1]
-		var exps []expectation
 		for {
 			rest = strings.TrimLeft(rest, " \t")
 			tok := wantTokenRE.FindStringSubmatch(rest)
@@ -196,26 +119,22 @@ func parseWants(t *testing.T, file string) map[struct {
 				break
 			}
 			rest = rest[len(tok[0]):]
-			pat := tok[3] // backquoted: raw
-			if tok[2] != "" || tok[3] == "" {
+			pat := tok[2] // backquoted: raw
+			if tok[1] != "" || tok[2] == "" {
 				var err error
-				pat, err = unescape(tok[2])
+				pat, err = unescape(tok[1])
 				if err != nil {
-					t.Fatalf("%s:%d: bad want pattern %q: %v", file, i+1, tok[2], err)
+					t.Fatalf("%s:%d: bad want pattern %q: %v", file, i+1, tok[1], err)
 				}
 			}
 			re, err := regexp.Compile(pat)
 			if err != nil {
 				t.Fatalf("%s:%d: bad want regexp %q: %v", file, i+1, pat, err)
 			}
-			exps = append(exps, expectation{fact: tok[1] != "", name: tok[1], re: re})
+			k := key{file, i + 1}
+			out[k] = append(out[k], re)
 		}
-		if len(exps) == 0 {
-			continue // prose containing the word "want", not an expectation
-		}
-		out[key{file, i + 1}] = exps
 	}
-	return out
 }
 
 // unescape handles \" and \\ inside want string arguments.
@@ -258,9 +177,7 @@ func moduleRoot(t *testing.T) string {
 
 // Findings runs analyzers over real repo packages (not fixtures); the
 // revert-guard tests in other packages use it to assert the suite stays
-// green on the committed tree. The full deps-first package list goes to
-// the runner so cross-package facts flow exactly as they do for the CLI
-// drivers.
+// green on the committed tree.
 func Findings(t *testing.T, patterns ...string) []analysis.Finding {
 	t.Helper()
 	root := moduleRoot(t)

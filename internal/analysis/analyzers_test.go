@@ -16,31 +16,12 @@ func TestLockholdFixture(t *testing.T) {
 	analysistest.Run(t, analysis.NewLockhold, "lockhold")
 }
 
-func TestMetricnameFixture(t *testing.T) {
-	analysistest.Run(t, analysis.NewMetricname, "metricname")
-}
-
-func TestErrnofactFixture(t *testing.T) {
-	analysistest.Run(t, analysis.NewErrnofact, "errnofact")
+func TestErrnowrapFixture(t *testing.T) {
+	analysistest.Run(t, analysis.NewErrnowrap, "errnowrap")
 }
 
 func TestTracefmtFixture(t *testing.T) {
 	analysistest.Run(t, analysis.NewTracefmt, "tracefmt")
-}
-
-// TestFactDiamondFixture proves topological fact propagation: both leaves'
-// MetricFamilies facts must be visible when the root of the import diamond
-// is analyzed, so both of root's kind conflicts are reported.
-func TestFactDiamondFixture(t *testing.T) {
-	analysistest.Run(t, analysis.NewMetricname, "factdiamond")
-}
-
-// TestSibConflictFixture proves the pairwise dependency check: two sibling
-// packages registering one family under different kinds are flagged from
-// their common importer, the only vantage point whose fact view holds both
-// sides under go vet's import-closure model.
-func TestSibConflictFixture(t *testing.T) {
-	analysistest.Run(t, analysis.NewMetricname, "sibconflict")
 }
 
 func TestOpexhaustiveFixture(t *testing.T) {
@@ -57,10 +38,9 @@ func TestCtxpropagateFixture(t *testing.T) {
 
 // TestSuiteCleanOnRepo is the revert guard: the committed tree must be
 // free of findings. Reintroducing global math/rand in internal/sim, a
-// blocking op under a core lock, a malformed metric name, an unwrapped
-// core error (including one returned from another package, via AdHocError
-// facts), an off-vocabulary trace key or stage name, or an opcode gap
-// turns this test red — the same signal CI's
+// blocking op under a core lock, an unwrapped core error, an
+// off-vocabulary trace key or stage name, or an opcode gap turns this
+// test red — the same signal CI's
 // lint job gives, but available to a plain `go test ./...`.
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
@@ -101,10 +81,9 @@ func TestScopes(t *testing.T) {
 		{"lockhold", "repro/internal/telemetry", true},
 		{"lockhold", "repro/internal/sim", false},
 
-		{"errnofact", "repro/internal/core", true},
-		{"errnofact", "repro/internal/wal", true},                                // WAL I/O errors surface as deferred wire errors
-		{"errnofact", "repro/internal/core/fault", false},                        // spec-parse errors are operator-facing
-		{"errnofact", "repro/internal/analysis/testdata/src/factparity/a", true}, // parity fixtures stay in scope under both drivers
+		{"errnowrap", "repro/internal/core", true},
+		{"errnowrap", "repro/internal/wal", true},         // WAL I/O errors surface as deferred wire errors
+		{"errnowrap", "repro/internal/core/fault", false}, // spec-parse errors are operator-facing
 
 		{"opexhaustive", "repro/internal/core", true},
 		{"opexhaustive", "repro/internal/telemetry", false},
@@ -122,17 +101,11 @@ func TestScopes(t *testing.T) {
 	for _, c := range cases {
 		scope := byName[c.analyzer]
 		if scope == nil {
-			if c.analyzer == "metricname" || c.analyzer == "tracefmt" {
-				continue // nil scope = repo-wide
-			}
 			t.Fatalf("analyzer %s missing or has nil scope", c.analyzer)
 		}
 		if got := scope(c.pkg); got != c.want {
 			t.Errorf("%s scope(%s) = %v, want %v", c.analyzer, c.pkg, got, c.want)
 		}
-	}
-	if byName["metricname"] != nil {
-		t.Error("metricname should be repo-wide (nil scope)")
 	}
 	if byName["tracefmt"] != nil {
 		t.Error("tracefmt should be repo-wide (nil scope)")
@@ -154,7 +127,7 @@ func TestAnalyzerDocs(t *testing.T) {
 			t.Errorf("analyzer name %q contains whitespace (breaks //lint:allow parsing)", a.Name)
 		}
 	}
-	for _, want := range []string{"simclock", "lockhold", "metricname", "errnofact", "opexhaustive", "goroleak", "ctxpropagate", "tracefmt"} {
+	for _, want := range []string{"simclock", "lockhold", "errnowrap", "opexhaustive", "goroleak", "ctxpropagate", "tracefmt"} {
 		if !names[want] {
 			t.Errorf("suite missing analyzer %s", want)
 		}

@@ -53,10 +53,10 @@ func TestDirectiveStatementExtent(t *testing.T) {
 
 import "fmt"
 
-//lint:allow metricname grandfathered dashboard name
+//lint:allow tracefmt grandfathered dashboard key
 var spec = fmt.Sprintf(
 	"%s",
-	"legacy_requests_total",
+	"legacyKey=1",
 )
 
 func f(ch chan int) {
@@ -85,11 +85,11 @@ func multi(a, b int) int { return a + b }
 
 	// Multi-line ValueSpec: lines 6-9 are all covered by the directive on 5.
 	for line := 6; line <= 9; line++ {
-		if !ds.allows("metricname", at(line)) {
+		if !ds.allows("tracefmt", at(line)) {
 			t.Errorf("directive above multi-line var should cover line %d", line)
 		}
 	}
-	if ds.allows("metricname", at(10)) {
+	if ds.allows("tracefmt", at(10)) {
 		t.Error("directive must not leak past the ValueSpec's extent")
 	}
 

@@ -1,15 +1,9 @@
 // Package load type-checks Go packages for the iofwdlint analyzers without
 // depending on golang.org/x/tools. It shells out to `go list -json -deps`
 // for build metadata (which the go command emits in dependency order) and
-// type-checks every package from source with go/types, ignoring function
-// bodies for pure external dependencies so a whole-repo load stays fast.
-//
-// Packages that live inside the loaded module ("local" packages) are fully
-// parsed and type-checked even when they are only dependencies of the load
-// patterns: the fact-passing analyzers (metricname, errnofact) need to
-// inspect their bodies to export facts that target packages then import.
-// The dependency order of `go list -deps` is exactly the topological order
-// facts must flow in, so the driver can make a single pass.
+// type-checks every package from source with go/types. Only the packages
+// matching the load patterns get function bodies and type info; their
+// dependencies are checked API-only, so a whole-repo load stays fast.
 package load
 
 import (
@@ -24,7 +18,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one loaded, type-checked package.
@@ -33,10 +26,9 @@ type Package struct {
 	Dir        string
 	GoFiles    []string // absolute paths
 	Target     bool     // matched the load patterns (vs. pulled in as a dep)
-	Local      bool     // lives inside the loaded module (fact producer)
 	Syntax     []*ast.File
 	Types      *types.Package
-	Info       *types.Info // populated for targets and local deps
+	Info       *types.Info // populated for targets only
 	TypeErrors []error     // non-fatal type-check problems
 }
 
@@ -70,11 +62,6 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 		return nil, nil, fmt.Errorf("go list: %v", err)
 	}
 
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		absDir = dir
-	}
-
 	fset := token.NewFileSet()
 	byPath := make(map[string]*Package)
 	var pkgs []*Package
@@ -95,7 +82,6 @@ func Load(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
 			ImportPath: lp.ImportPath,
 			Dir:        lp.Dir,
 			Target:     !lp.DepOnly,
-			Local:      lp.Dir == absDir || strings.HasPrefix(lp.Dir, absDir+string(filepath.Separator)),
 		}
 		for _, f := range append(append([]string{}, lp.GoFiles...), lp.CgoFiles...) {
 			if !filepath.IsAbs(f) {
@@ -129,10 +115,9 @@ func Targets(pkgs []*Package) []*Package {
 
 // check parses and type-checks one package whose dependencies are already
 // in byPath (guaranteed by go list's dependency-ordered -deps output).
-// Targets and local dependencies get full bodies and type info; external
-// (std) dependencies are checked API-only.
+// Targets get full bodies and type info; dependencies are checked API-only.
 func check(p *Package, importMap map[string]string, fset *token.FileSet, byPath map[string]*Package) error {
-	full := p.Target || p.Local
+	full := p.Target
 	mode := parser.SkipObjectResolution
 	if full {
 		mode |= parser.ParseComments

@@ -47,46 +47,6 @@ func TestLoadCorePackage(t *testing.T) {
 	}
 }
 
-// TestLoadDiamondDepOrder pins the property the fact subsystem rests on:
-// `go list -deps` output is topologically sorted, so a package's
-// module-local dependencies appear (and are analyzed, producing facts)
-// before it, and those dependencies carry full syntax and type info even
-// when only the root is the load target.
-func TestLoadDiamondDepOrder(t *testing.T) {
-	pkgs, _, err := Load(moduleRoot(t), "./internal/analysis/testdata/src/factdiamond/root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const base = "repro/internal/analysis/testdata/src/factdiamond/"
-	idx := map[string]int{}
-	for i, p := range pkgs {
-		idx[p.ImportPath] = i
-	}
-	for _, leaf := range []string{base + "leafa", base + "leafb"} {
-		i, ok := idx[leaf]
-		if !ok {
-			t.Fatalf("leaf %s not loaded; got %v", leaf, paths(pkgs))
-		}
-		root, ok := idx[base+"root"]
-		if !ok {
-			t.Fatalf("root not loaded; got %v", paths(pkgs))
-		}
-		if i >= root {
-			t.Errorf("%s at index %d does not precede root at %d; fact propagation needs deps-first order", leaf, i, root)
-		}
-		p := pkgs[i]
-		if p.Target {
-			t.Errorf("%s should be a dependency, not a target", leaf)
-		}
-		if !p.Local {
-			t.Errorf("%s should be marked Local (module-local dependency)", leaf)
-		}
-		if p.Info == nil || len(p.Syntax) == 0 {
-			t.Errorf("%s missing syntax/type info; local deps must be fully parsed for fact production", leaf)
-		}
-	}
-}
-
 func paths(pkgs []*Package) []string {
 	var out []string
 	for _, p := range pkgs {

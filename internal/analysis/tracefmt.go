@@ -6,6 +6,10 @@ import (
 	"regexp"
 )
 
+// telemetryPkg is the package whose label constructor (telemetry.L) the
+// analyzer checks.
+const telemetryPkg = "repro/internal/telemetry"
+
 // stageNames are the forwarding-path stages of DESIGN.md §7 (the paper's
 // Fig 4-6 cut points). Any "stage" label or stage= trace token must name
 // one of them, or per-stage attribution silently fragments.
@@ -53,7 +57,7 @@ var formatFuncs = map[string]int{
 //   - an Errno value formatted by fmt.Errorf with any verb other than %w
 //     (%v, %s, %d, ...) is flagged: the rendering looks fine in the
 //     message, but the wrap chain is cut and errors.Is classification is
-//     lost. This is the repo-wide complement to errnofact's wire-path
+//     lost. This is the repo-wide complement to errnowrap's wire-path
 //     scope.
 func NewTracefmt() *Analyzer {
 	return &Analyzer{
@@ -74,7 +78,7 @@ func runTracefmt(pass *Pass) error {
 			if fn == nil {
 				return true
 			}
-			if fn.FullName() == registryPkg+".L" {
+			if fn.FullName() == telemetryPkg+".L" {
 				checkLabelCall(pass, call)
 				return true
 			}

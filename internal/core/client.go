@@ -140,7 +140,7 @@ func (m *clientMetrics) register(reg *telemetry.Registry) {
 // only when the window is enabled so legacy clients keep their exact
 // metric surface. The RTT family is iofwd_client_rtt_ns, not _seconds:
 // the repo's histograms carry explicit unit suffixes (_ns/_bytes/_ops)
-// enforced by telemetry.ValidateName and the metricname analyzer.
+// enforced by telemetry.ValidateName.
 func (m *clientMetrics) registerCongestion(reg *telemetry.Registry) {
 	reg.MustRegister("iofwd_client_cwnd",
 		"Current AIMD congestion window in in-flight operation slots.", &m.cwnd)

@@ -274,7 +274,7 @@ func Parse(spec string) (Config, error) {
 		}
 		rate := func(s string) (float64, error) {
 			f, err := strconv.ParseFloat(s, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both comparisons
 				return 0, fmt.Errorf("fault: %s wants a rate in [0,1], got %q", key, s)
 			}
 			return f, nil
@@ -399,7 +399,7 @@ func DeriveSeed(seed int64, member int) int64 {
 func rateDuration(key, val string, def time.Duration) (float64, time.Duration, error) {
 	rs, ds, hasDur := strings.Cut(val, ":")
 	f, err := strconv.ParseFloat(rs, 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) { // NaN fails both comparisons
 		return 0, 0, fmt.Errorf("fault: %s wants rate[:duration], got %q", key, val)
 	}
 	d := def

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 )
@@ -88,4 +90,39 @@ func TestOpStrings(t *testing.T) {
 	if Op(200).String() != "op(200)" {
 		t.Fatalf("unknown op string %q", Op(200).String())
 	}
+}
+
+// FuzzDecodeHeader: whatever bytes arrive where a frame header should be,
+// readHeader either fails — with io.EOF or io.ErrUnexpectedEOF on a short
+// read, with an EINVAL-wrapped error on a bad magic or version — or
+// returns a header that re-encodes to exactly the bytes it read (the pad
+// field is reserved: the decoder ignores it and the encoder writes zero).
+// The seed corpus under testdata/fuzz/FuzzDecodeHeader holds a header for
+// every Op, zero, MaxPayload and maximum uint32 lengths, a bad magic, a bad
+// version and a short read.
+func FuzzDecodeHeader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var hb [headerSize]byte
+		var h header
+		err := readHeader(bytes.NewReader(in), &hb, &h)
+		if len(in) < headerSize {
+			if err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatalf("%d-byte input: got %v, want io.EOF or io.ErrUnexpectedEOF", len(in), err)
+			}
+			return
+		}
+		if err != nil {
+			if !errors.Is(err, EINVAL) {
+				t.Fatalf("decode failed with %v, want an EINVAL-wrapped error", err)
+			}
+			return
+		}
+		want := hb
+		want[38], want[39] = 0, 0
+		var got [headerSize]byte
+		h.encode(&got)
+		if got != want {
+			t.Fatalf("decoded header %+v re-encodes to %x, read %x", h, got, hb)
+		}
+	})
 }

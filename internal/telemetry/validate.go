@@ -6,9 +6,8 @@ import (
 	"strings"
 )
 
-// Metric naming convention, shared between runtime checks and the
-// `metricname` analyzer in internal/analysis (one rule, two enforcement
-// points):
+// Metric naming convention, checked over every family the stack registers
+// by the registry test in internal/core:
 //
 //   - every name is `iofwd_` + snake_case ([a-z0-9_] segments)
 //   - counters end in `_total`
@@ -25,8 +24,7 @@ var histogramUnits = []string{"_ns", "_bytes", "_ops"}
 
 // ValidateName reports whether name follows the repository's metric naming
 // convention for an instrument of the given kind. It is exported so the
-// static analyzer, the registry tests, and any future runtime gate all
-// apply the identical rule.
+// registry tests and any future runtime gate apply the identical rule.
 func ValidateName(name string, kind Kind) error {
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("metric %q is not iofwd_-prefixed snake_case", name)
