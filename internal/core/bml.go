@@ -12,9 +12,9 @@ import (
 // BML is the buffer management layer (paper Section IV): a capacity-bounded
 // pool of power-of-2-sized staging buffers. Get blocks while the pool is
 // exhausted — the paper's back-pressure rule for asynchronous staging — and
-// Put returns a buffer for reuse. GetTimeout bounds the admission wait so a
-// server can degrade to the synchronous path instead of blocking forever on
-// exhaustion.
+// Put returns a buffer for reuse. The server bounds its own admission wait
+// (Config.BMLTimeout) so it can degrade to the synchronous path instead of
+// blocking forever on exhaustion.
 type BML struct {
 	capacity int64
 	minClass int64
@@ -48,7 +48,7 @@ type BMLStats struct {
 	Fresh uint64
 	// Stalls counts Gets that had to wait for capacity.
 	Stalls uint64
-	// Timeouts counts GetTimeout calls that gave up waiting.
+	// Timeouts counts bounded admissions that gave up waiting.
 	Timeouts uint64
 	// Peak is the high-water mark of reserved bytes.
 	Peak int64
@@ -111,15 +111,17 @@ func classFor(n int) int64 {
 // Get returns a buffer whose capacity is the power-of-2 class holding n,
 // sliced to length n. It blocks while the pool is at capacity.
 func (b *BML) Get(n int) []byte {
-	buf, _ := b.GetTimeout(n, 0)
+	buf, _ := b.getTimeout(n, 0)
 	return buf
 }
 
-// GetTimeout is Get with a bounded admission wait: if the pool cannot admit
+// getTimeout is Get with a bounded admission wait: if the pool cannot admit
 // the request within d it returns (nil, false) and the caller must degrade
 // (the server falls back to an unpooled buffer and the synchronous write
-// path). d <= 0 waits forever, matching Get.
-func (b *BML) GetTimeout(n int, d time.Duration) ([]byte, bool) {
+// path). d <= 0 waits forever, matching Get. The wait is the server's own,
+// bounded by Config.BMLTimeout; client contexts end at the wire, so it
+// takes none.
+func (b *BML) getTimeout(n int, d time.Duration) ([]byte, bool) {
 	c := classFor(n)
 	if c > b.capacity {
 		panic(fmt.Sprintf("core: buffer class %d exceeds BML capacity %d", c, b.capacity))
@@ -139,7 +141,6 @@ func (b *BML) GetTimeout(n int, d time.Duration) ([]byte, bool) {
 			ch := b.waitc
 			b.waiters++
 			b.mu.Unlock()
-			//lint:allow ctxpropagate server-side staging admission: the wait is bounded by this method's own timeout argument (Config.BMLTimeout), not by client contexts, which end at the wire
 			select {
 			case <-ch:
 				b.mu.Lock()

@@ -101,6 +101,19 @@ type callResult struct {
 	err  error
 }
 
+// deliver hands the call its one result. ch has capacity 1 and a call is
+// delivered only by whoever removed it from c.pending, so the send never
+// blocks — which is what lets connFailed and failLocked deliver under
+// c.mu. A second delivery would break that rule and panics rather than
+// blocking with the lock held.
+func (pc *pendingCall) deliver(r callResult) {
+	select {
+	case pc.ch <- r:
+	default:
+		panic("core: pending call delivered twice")
+	}
+}
+
 type response struct {
 	flags   uint16
 	errno   Errno
@@ -259,7 +272,7 @@ func (c *Client) readLoop(nc net.Conn, gen uint64) {
 		}
 		if pc != nil {
 			pc.resp = response{flags: h.flags, errno: Errno(h.pathLen), value: int64(h.offset), payload: payload}
-			pc.ch <- callResult{resp: &pc.resp}
+			pc.deliver(callResult{resp: &pc.resp})
 		}
 	}
 }
@@ -280,7 +293,7 @@ func (c *Client) unclaim(id uint64, pc *pendingCall) {
 	}
 	c.mu.Unlock()
 	if err != nil {
-		pc.ch <- callResult{err: err}
+		pc.deliver(callResult{err: err})
 	}
 }
 
@@ -332,8 +345,7 @@ func (c *Client) connFailed(gen uint64, cause error) {
 		}
 		delete(c.pending, id)
 		c.met.lostOps.Inc()
-		//lint:allow lockhold pc.ch is buffered (cap 1) with exactly one send per call, so this send never blocks
-		pc.ch <- callResult{err: fmt.Errorf("%w: %v", ErrConnectionLost, cause)}
+		pc.deliver(callResult{err: fmt.Errorf("%w: %v", ErrConnectionLost, cause)})
 	}
 	files := make([]*openFile, 0, len(c.files))
 	for _, f := range c.files {
@@ -353,8 +365,7 @@ func (c *Client) failLocked(err error) {
 	}
 	for id, pc := range c.pending {
 		delete(c.pending, id)
-		//lint:allow lockhold pc.ch is buffered (cap 1) with exactly one send per call, so this send never blocks
-		pc.ch <- callResult{err: err}
+		pc.deliver(callResult{err: err})
 	}
 	select {
 	case <-c.ready:
@@ -663,7 +674,7 @@ func (c *Client) Flush(ctx context.Context) error {
 
 // DropConnection forcibly closes the client's transport without closing the
 // Client — a network-failure injection hook for chaos testing (see
-// cmd/fwdbench -drop-every). With reconnection enabled the client redials,
+// chaos_test.go). With reconnection enabled the client redials,
 // re-opens its descriptors, and replays idempotent in-flight operations.
 func (c *Client) DropConnection() {
 	c.mu.Lock()

@@ -101,17 +101,14 @@ type CoalesceConfig struct {
 	Linger time.Duration
 }
 
-// Defaults applied by normalized(); exported so callers and fwdbench can
-// reference the same numbers.
+// Defaults applied by normalized(); exported so callers can reference the
+// same numbers.
 const (
 	DefaultRetryBase      = 5 * time.Millisecond
 	DefaultRetryMax       = 250 * time.Millisecond
 	DefaultWindowBeta     = 0.5
 	DefaultCoalesceOps    = 16
 	DefaultCoalesceLinger = 500 * time.Microsecond
-	// DefaultCoalesceBytes is a reasonable merged-frame cap for callers
-	// that want coalescing without picking a number (fwdbench -coalesce).
-	DefaultCoalesceBytes = 1 << 20
 )
 
 // Validate checks the configuration and returns an EINVAL-wrapped error

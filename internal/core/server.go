@@ -598,7 +598,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	// BMLTimeout set, exhaustion instead degrades this write to the
 	// synchronous path with an unpooled buffer, so one stalled backend
 	// cannot wedge every forwarder on admission forever.
-	buf, pooled := s.bml.GetTimeout(int(h.length), s.cfg.BMLTimeout)
+	buf, pooled := s.bml.getTimeout(int(h.length), s.cfg.BMLTimeout)
 	if !pooled {
 		buf = make([]byte, h.length)
 	}

@@ -59,7 +59,6 @@ func Figure13(quick bool) *stats.Table {
 	}
 	t.Notes = append(t.Notes,
 		"paper: async over ciod +53%/+49%, over zoid +40%/+34% at 64/256 nodes",
-		//lint:allow tracefmt NBin is the paper's figure-axis notation, not a trace key
-		fmt.Sprintf("NBin=%d (paper: 1024); aggregate I/O scales linearly with NBin", nbin))
+		fmt.Sprintf("NBin %d (paper: 1024); aggregate I/O scales linearly with NBin", nbin))
 	return t
 }

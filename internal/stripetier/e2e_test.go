@@ -154,6 +154,9 @@ func TestFailoverEndToEnd(t *testing.T) {
 			t.Fatalf("member 2 stripe %d stale after repair", st)
 		}
 	}
+	s = tier.Stats()
+	t.Logf("0 client errors, 0 mismatches over %d blocks; ejections=%d readmissions=%d read_failovers=%d degraded_writes=%d repairs=%d",
+		blocks, s.Ejections, s.Readmissions, s.ReadFailovers, s.DegradedWrites, s.Repairs)
 }
 
 // fill writes the offset-dependent test pattern into buf.

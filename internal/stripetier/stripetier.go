@@ -222,10 +222,14 @@ func (h *tierHandle) WriteAt(b []byte, off int64) (int, error) {
 	for _, sp := range spans(off, len(b), t.cfg.StripeSize) {
 		chain := replicaChain(sp.stripe, len(t.members), t.cfg.Replicas)
 		okCount := 0
+		// Missed replicas are queued only once the whole chain has been
+		// written: a repair started earlier could copy a survivor that does
+		// not hold this piece yet, then mark the missed replica clean.
+		var missed []int
 		for _, m := range chain {
 			ok, probe := t.health.allowed(m)
 			if !ok {
-				t.repair.enqueue(h.name, sp.stripe, m)
+				missed = append(missed, m)
 				continue
 			}
 			mh, err := h.member(m, true)
@@ -245,13 +249,16 @@ func (h *tierHandle) WriteAt(b []byte, off int64) (int, error) {
 			}
 			t.recordOp(m, probe, err)
 			if err != nil {
-				t.repair.enqueue(h.name, sp.stripe, m)
+				missed = append(missed, m)
 				continue
 			}
 			// A replica already queued for repair stays queued even after
 			// this successful write: the new piece may cover only part of
 			// the stripe, and repair copies the whole stripe anyway.
 			okCount++
+		}
+		for _, m := range missed {
+			t.repair.enqueue(h.name, sp.stripe, m)
 		}
 		if okCount == 0 {
 			return written, fmt.Errorf("%w: stripe %d: no replica accepted the write", core.EIO, sp.stripe)

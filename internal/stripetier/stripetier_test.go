@@ -670,6 +670,82 @@ func TestRepairVersioning(t *testing.T) {
 	}
 }
 
+// gatedMember parks WriteAt while armed: it announces the write on entered
+// and waits for release.
+type gatedMember struct {
+	core.Backend
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+type gatedHandle struct {
+	core.Handle
+	m *gatedMember
+}
+
+func (g *gatedMember) Open(name string, create bool) (core.Handle, error) {
+	h, err := g.Backend.Open(name, create)
+	if err != nil {
+		return nil, err
+	}
+	return gatedHandle{h, g}, nil
+}
+
+func (h gatedHandle) WriteAt(b []byte, off int64) (int, error) {
+	if h.m.armed.Load() {
+		h.m.entered <- struct{}{}
+		<-h.m.release
+	}
+	return h.Handle.WriteAt(b, off)
+}
+
+// TestMissedReplicaQueuedAfterSurvivorWrite: a replica that misses a write
+// is queued for repair only after the rest of its chain holds the piece. A
+// repair run between the miss and the survivor's write would copy the
+// survivor's old bytes, mark the missed replica clean, and leave it — the
+// chain's primary — serving the old bytes.
+func TestMissedReplicaQueuedAfterSurvivorWrite(t *testing.T) {
+	primary := &flakyMember{inner: core.NewMemBackend()}
+	survivor := &gatedMember{Backend: core.NewMemBackend(), entered: make(chan struct{}), release: make(chan struct{})}
+	tier, err := New([]core.Backend{primary, survivor}, Config{StripeSize: 16, Replicas: 2, Health: testHealthCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	h, err := tier.Open("obj", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(bytes.Repeat([]byte{1}, 16), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	primary.fail.Store(true)
+	survivor.armed.Store(true)
+	want := bytes.Repeat([]byte{2}, 16)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := h.WriteAt(want, 0)
+		wrote <- err
+	}()
+	<-survivor.entered // the primary has missed the write; the survivor has not taken it
+	primary.fail.Store(false)
+	survivor.armed.Store(false)
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline) && tier.Stats().Repairs == 0; {
+		tier.repair.kickNow()
+		time.Sleep(time.Millisecond)
+	}
+	close(survivor.release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	waitPendingDrained(t, tier)
+	got := make([]byte, 16)
+	if _, err := h.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read %v (err %v), want %v", got, err, want)
+	}
+}
+
 func TestStripeSizeAndNegativeOffsets(t *testing.T) {
 	tier, _, _ := newTestTier(t, 2, 2, 16)
 	h, err := tier.Open("obj", true)
