@@ -139,13 +139,17 @@ func BenchmarkServerModesSlowSink(b *testing.B) {
 }
 
 // BenchmarkPipelinedWrites — single client, no fan-out: measures per-op
-// protocol latency across modes.
+// protocol latency across modes. The 4 KiB async arm is the small-op path at
+// depth 1, where per-op syscalls and the scheduler hand-off dominate.
 func BenchmarkPipelinedWrites(b *testing.B) {
 	for _, mode := range []Mode{ModeDirect, ModeAsync} {
 		b.Run(mode.String(), func(b *testing.B) {
 			benchWrites(b, mode, 1, 64<<10, NullBackend{})
 		})
 	}
+	b.Run("async_4k", func(b *testing.B) {
+		benchWrites(b, ModeAsync, 1, 4<<10, NullBackend{})
+	})
 }
 
 // BenchmarkReadPath — sequential remote reads.

@@ -40,8 +40,8 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	wmu sync.Mutex       // serializes request frames on the current conn
-	whb [headerSize]byte // send's header array; guarded by wmu
+	wmu sync.Mutex // serializes request frames on the current conn
+	wb  []byte     // send's frame buffer, frameCopyMax long; guarded by wmu
 
 	mu      sync.Mutex
 	nc      net.Conn
@@ -176,6 +176,7 @@ func (cfg ClientConfig) newClient(nc net.Conn) *Client {
 		nc:      nc,
 		nextID:  1,
 		nextFD:  3, // mirrors the server's numbering until the first failover
+		wb:      make([]byte, frameCopyMax),
 		pending: make(map[uint64]*pendingCall),
 		files:   make(map[uint64]*openFile),
 		ready:   make(chan struct{}),
@@ -451,7 +452,7 @@ func reopenFiles(nc net.Conn, files []*openFile) error {
 	for _, f := range files {
 		id++
 		req := header{op: OpOpen, reqID: id, pathLen: uint16(len(f.name))}
-		if err := writeFrame(nc, &hb, &req, f.name, nil); err != nil {
+		if err := writeFrame(nc, hb[:], &req, f.name, nil); err != nil {
 			return err
 		}
 		if err := readHeader(nc, &hb, &h); err != nil {
@@ -471,7 +472,8 @@ func reopenFiles(nc net.Conn, files []*openFile) error {
 }
 
 // send writes one request frame (with the fd translated to the current
-// connection's descriptor) under the write mutex.
+// connection's descriptor) under the write mutex: a frame up to
+// frameCopyMax leaves in one Write, a larger one as header and payload.
 func (c *Client) send(nc net.Conn, id uint64, pc *pendingCall) error {
 	fd := pc.fd
 	c.mu.Lock()
@@ -482,7 +484,7 @@ func (c *Client) send(nc net.Conn, id uint64, pc *pendingCall) error {
 	h := header{op: pc.op, reqID: id, fd: fd, offset: pc.offset,
 		length: pc.length, pathLen: uint16(len(pc.path))}
 	c.wmu.Lock()
-	err := writeFrame(nc, &c.whb, &h, pc.path, pc.payload)
+	err := writeFrame(nc, c.wb, &h, pc.path, pc.payload)
 	c.wmu.Unlock()
 	return err
 }

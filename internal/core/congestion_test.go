@@ -211,7 +211,7 @@ func (s *capacityServer) serve(nc net.Conn) {
 	reply := func(op Op, reqID uint64, errno Errno, value uint64) {
 		h := header{op: op, reqID: reqID, offset: value, pathLen: uint16(errno)}
 		wmu.Lock()
-		_ = writeFrame(nc, &whb, &h, "", nil)
+		_ = writeFrame(nc, whb[:], &h, "", nil)
 		wmu.Unlock()
 	}
 	var h header

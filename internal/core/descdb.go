@@ -40,6 +40,9 @@ type descriptor struct {
 	// met, when non-nil, receives in-flight and deferred-error telemetry
 	// (shared with the owning server; see internal/core/metrics.go).
 	met *serverMetrics
+	// fast records whether the last backend call on the descriptor took
+	// less than inlineMaxCall; false until the first call returns.
+	fast atomic.Bool
 
 	mu        sync.Mutex
 	cursor    int64
@@ -113,6 +116,14 @@ func (d *descriptor) complete(op uint64, err error) {
 		d.idle.Broadcast()
 	}
 	d.mu.Unlock()
+}
+
+// quiescent reports whether no staged or spilled operation is in flight.
+func (d *descriptor) quiescent() bool {
+	d.mu.Lock()
+	q := d.inFlight == 0
+	d.mu.Unlock()
+	return q
 }
 
 // drain blocks until no staged operations are in flight.

@@ -157,10 +157,10 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.bmlDegraded = reg.Counter("iofwd_bml_degraded_total",
 		"Writes that fell back to the synchronous path with an unpooled buffer after staging-pool admission timed out.")
 	m.workerPanics = reg.Counter("iofwd_panics_total",
-		"Panics recovered without killing the process, by scope (worker = pool task, conn = connection handler).",
+		"Panics recovered without killing the process, by scope (worker = pool task, conn = connection handler, including data ops it ran inline).",
 		telemetry.L("scope", "worker"))
 	m.connPanics = reg.Counter("iofwd_panics_total",
-		"Panics recovered without killing the process, by scope (worker = pool task, conn = connection handler).",
+		"Panics recovered without killing the process, by scope (worker = pool task, conn = connection handler, including data ops it ran inline).",
 		telemetry.L("scope", "conn"))
 	m.queueRejects = reg.Counter("iofwd_queue_rejects_total",
 		"Operations refused with ECLOSED because they raced server shutdown (closed work queue).")

@@ -133,12 +133,26 @@ func decodeHeader(b *[headerSize]byte, h *header) error {
 	return nil
 }
 
-// writeFrame encodes h into hb and writes it, followed by the optional path
-// and payload. The caller owns hb (a per-connection array guarded by its
-// write lock), so no frame allocates a header.
-func writeFrame(w io.Writer, hb *[headerSize]byte, h *header, path string, payload []byte) error {
-	h.encode(hb)
-	if _, err := w.Write(hb[:]); err != nil {
+// frameCopyMax is the largest request frame the client sends as one Write:
+// a frame this size or smaller is copied into the client's frame buffer
+// first. 4 KiB and 16 KiB records qualify, so a small op costs one send
+// syscall; a 1 MiB record does not, so a large payload is never copied.
+const frameCopyMax = 64 << 10
+
+// writeFrame encodes h and writes the frame: header, then the optional path
+// and payload. wb is the caller's frame buffer, at least headerSize long and
+// guarded by its write lock, so no frame allocates. A frame that fits in wb
+// is copied into it and leaves in one Write; a larger one leaves as the
+// header, then the path, then the payload, each in its own Write.
+func writeFrame(w io.Writer, wb []byte, h *header, path string, payload []byte) error {
+	h.encode((*[headerSize]byte)(wb))
+	if n := headerSize + len(path) + len(payload); n <= len(wb) {
+		copy(wb[headerSize:], path)
+		copy(wb[headerSize+len(path):], payload)
+		_, err := w.Write(wb[:n])
+		return err
+	}
+	if _, err := w.Write(wb[:headerSize]); err != nil {
 		return err
 	}
 	if path != "" {

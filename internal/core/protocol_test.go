@@ -61,7 +61,7 @@ func TestWriteFrameSegments(t *testing.T) {
 	var buf bytes.Buffer
 	h := header{op: OpOpen, reqID: 1, pathLen: 3, length: 5}
 	var hb [headerSize]byte
-	if err := writeFrame(&buf, &hb, &h, "abc", []byte("hello")); err != nil {
+	if err := writeFrame(&buf, hb[:], &h, "abc", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != headerSize+3+5 {

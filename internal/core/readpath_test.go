@@ -27,7 +27,7 @@ func stubServe(nc net.Conn, onData func(nc net.Conn, req header) error) {
 			if _, err := io.CopyN(io.Discard, nc, int64(req.pathLen)); err != nil {
 				return
 			}
-			if err := writeFrame(nc, &hb, &header{reqID: req.reqID, offset: 3}, "", nil); err != nil {
+			if err := writeFrame(nc, hb[:], &header{reqID: req.reqID, offset: 3}, "", nil); err != nil {
 				return
 			}
 			continue
@@ -43,7 +43,7 @@ func stubServe(nc net.Conn, onData func(nc net.Conn, req header) error) {
 func stubReply(nc net.Conn, req header, payload []byte, send int) error {
 	var hb [headerSize]byte
 	h := header{reqID: req.reqID, offset: uint64(len(payload)), length: uint32(len(payload))}
-	return writeFrame(nc, &hb, &h, "", payload[:send])
+	return writeFrame(nc, hb[:], &h, "", payload[:send])
 }
 
 func pattern(n int) []byte {

@@ -75,7 +75,19 @@ type scheduler struct {
 	idleMu    sync.Mutex
 	idle      []int
 	idleCount atomic.Int32
+
+	// inline counts ops running on their handlers under claimInline; at
+	// most inlineMax (the worker count) run at once.
+	inline    atomic.Int32
+	inlineMax int32
 }
+
+// inlineMaxCall is the backend call time below which an idle descriptor's
+// next op may run on its handler: about one scheduler hand-off. The
+// put → Signal → park round trip (stage_queue_us) measures 26–41 µs at
+// depth 1 on 2 vCPUs, so a call faster than this costs less than the wait
+// to hand it to a worker.
+const inlineMaxCall = 20 * time.Microsecond
 
 // defaultShards picks the shard count: one queue per worker, capped at
 // GOMAXPROCS — more shards than runnable threads just spreads the same
@@ -91,11 +103,11 @@ func defaultShards(workers int) int {
 	return n
 }
 
-func newScheduler(nshards int) *scheduler {
+func newScheduler(nshards, workers int) *scheduler {
 	if nshards < 1 {
 		nshards = 1
 	}
-	s := &scheduler{shards: make([]*shard, nshards)}
+	s := &scheduler{shards: make([]*shard, nshards), inlineMax: int32(workers)}
 	for i := range s.shards {
 		sh := &shard{executing: make(map[uint64]int)}
 		sh.cond = sync.NewCond(&sh.mu)
@@ -142,6 +154,35 @@ func (s *scheduler) put(t *task) error {
 	}
 	return nil
 }
+
+// claimInline reports whether the next data op on d may run on its handler
+// instead of queueing, and if so takes one of the inline tokens, which the
+// caller returns with releaseInline once the op has run. It holds when the
+// scheduler is open, d's last backend call was faster than a hand-off (a
+// descriptor with no history counts as slow), d has nothing staged or
+// spilled in flight, d's home shard is empty, and an inline token is free.
+//
+// Only d's handler starts ops on d, and it waits out every op it does not
+// stage, so a quiescent d has nothing queued or executing anywhere and the
+// inline op keeps its place in d's FIFO. A backend that is slow from the
+// start never runs inline, so BML admission, spill and shedding see the
+// queue they did. One that stalls after fast calls catches a single op
+// inline: its handler, and the connection's later frames, wait out the
+// stall (at most Workers connections at once), and the slow call then
+// sends d's later ops to the pool.
+func (s *scheduler) claimInline(d *descriptor) bool {
+	if s.closed.Load() || !d.fast.Load() || !d.quiescent() || s.homeShard(d).depth.Load() != 0 {
+		return false
+	}
+	if s.inline.Add(1) > s.inlineMax {
+		s.inline.Add(-1)
+		return false
+	}
+	return true
+}
+
+// releaseInline returns the token claimInline took.
+func (s *scheduler) releaseInline() { s.inline.Add(-1) }
 
 // depth returns the aggregate queued-task count without taking any lock —
 // the shed check (QueueHighWater) and metric snapshots read it on every
@@ -378,7 +419,7 @@ func (s *Server) worker(id int) {
 			if !t.enq.IsZero() {
 				m.stageQueue.Observe(now.Sub(t.enq).Nanoseconds())
 			}
-			now = s.execute(t, now)
+			now = s.execute(t, now, m.workerPanics)
 		}
 		s.sched.finish(src, batch)
 	}
@@ -386,12 +427,18 @@ func (s *Server) worker(id int) {
 
 // exec runs t to completion for a handler that replies afterwards and
 // returns the bytes t moved and its backend result. t runs on the handler
-// when the server has no pool or inline is set, and otherwise on a worker
-// while the handler waits. qerr is non-nil only when the scheduler refused
-// the task (shutdown): nothing ran. The caller returns t's buffer either way.
+// when the server has no pool, inline is set, or claimInline admits it, and
+// otherwise on a worker while the handler waits. qerr is non-nil only when
+// the scheduler refused the task (shutdown): nothing ran. The caller
+// returns t's buffer either way.
 func (s *Server) exec(t task, inline bool) (n int, err, qerr error) {
 	if s.sched == nil || inline {
 		_, err = s.runTask(&t, t.enq, s.metrics.connPanics)
+		return t.n, err, nil
+	}
+	if s.sched.claimInline(t.d) {
+		_, err = s.runTask(&t, t.enq, s.metrics.connPanics)
+		s.sched.releaseInline()
 		return t.n, err, nil
 	}
 	// Only a queued task outlives this frame, so only it is copied to the
@@ -408,10 +455,11 @@ func (s *Server) exec(t task, inline bool) (n int, err, qerr error) {
 }
 
 // runTask is the one place a data op reaches the backend. It observes the
-// backend stage from start and returns the completion time, and it converts
-// a backend panic into an EIO failure of that op alone, counted on panics —
-// the conn scope on the handler, the worker scope in the pool — so a buggy
-// or fault-injected backend can take down neither.
+// backend stage from start, records on the descriptor whether the call beat
+// inlineMaxCall, and returns the completion time. It converts a backend
+// panic into an EIO failure of that op alone, counted on panics — the conn
+// scope on the handler, the worker scope in the pool — so a buggy or
+// fault-injected backend can take down neither.
 func (s *Server) runTask(t *task, start time.Time, panics *telemetry.Counter) (end time.Time, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -419,7 +467,9 @@ func (s *Server) runTask(t *task, start time.Time, panics *telemetry.Counter) (e
 			err = fmt.Errorf("%w: recovered backend panic: %v", EIO, r)
 		}
 		end = time.Now()
-		s.metrics.stageBackend.Observe(end.Sub(start).Nanoseconds())
+		took := end.Sub(start)
+		t.d.fast.Store(took < inlineMaxCall)
+		s.metrics.stageBackend.Observe(took.Nanoseconds())
 	}()
 	switch t.op {
 	case OpWrite:
@@ -430,12 +480,13 @@ func (s *Server) runTask(t *task, start time.Time, panics *telemetry.Counter) (e
 	return // end is set by the deferred observation
 }
 
-// execute runs one dequeued task and routes its result. The backend stage
-// is observed before the result is published so a snapshot taken after a
-// drain sees every completed task. It returns the completion timestamp for
-// the worker's chained batch timing.
-func (s *Server) execute(t *task, start time.Time) time.Time {
-	end, err := s.runTask(t, start, s.metrics.workerPanics)
+// execute runs one dequeued or inline staged task and routes its result,
+// counting a panic on panics. The backend stage is observed before the
+// result is published so a snapshot taken after a drain sees every
+// completed task. It returns the completion timestamp for the worker's
+// chained batch timing.
+func (s *Server) execute(t *task, start time.Time, panics *telemetry.Counter) time.Time {
+	end, err := s.runTask(t, start, panics)
 	if t.done != nil {
 		t.done <- err
 		return end

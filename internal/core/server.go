@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -151,7 +152,7 @@ func NewServer(cfg Config) *Server {
 		if nshards <= 0 {
 			nshards = defaultShards(cfg.Workers)
 		}
-		s.sched = newScheduler(nshards)
+		s.sched = newScheduler(nshards, cfg.Workers)
 	}
 	s.metrics.wire(s)
 	if s.sched != nil {
@@ -254,7 +255,7 @@ func (s *Server) ServeConn(nc net.Conn) error {
 	s.metrics.conns.Inc()
 	s.metrics.activeConns.Inc()
 	defer s.metrics.activeConns.Dec()
-	c := &serverConn{srv: s, nc: nc, out: nc, db: newDescDB(s.metrics)}
+	c := &serverConn{srv: s, nc: nc, rd: bufio.NewReaderSize(nc, readBufSize), out: nc, db: newDescDB(s.metrics)}
 	err := c.serve()
 	c.teardown()
 	_ = nc.Close()
@@ -312,6 +313,10 @@ type pipelinedAck struct {
 	acked time.Time // record resolved: the reply stage runs from here
 }
 
+// readBufSize is the size of a connection's read buffer: a header plus a
+// 16 KiB payload, so a 4 KiB or 16 KiB write frame arrives in one read.
+const readBufSize = headerSize + 16<<10
+
 // serverConn is the per-connection handler — the role of the per-CN ZOID
 // thread. It decodes requests sequentially; whether it executes them itself
 // or hands them to the worker pool depends on the server mode. Replies to
@@ -323,6 +328,12 @@ type serverConn struct {
 	srv *Server
 	nc  net.Conn
 	db  *descDB
+	// rd buffers every read of nc (headers, open paths, payloads and
+	// discards); only the handler touches it. Once rd is empty it reads a
+	// payload remainder of at least readBufSize straight into the caller's
+	// buffer, so a large payload copies only its buffered prefix and a tail
+	// shorter than the buffer.
+	rd *bufio.Reader
 
 	// wmu is the reply lock: a response frame is written whole under it, so
 	// the handler's inline replies and the ack writer's batches never
@@ -338,9 +349,11 @@ type serverConn struct {
 	// carries resolved replies from the spill tier to the ack writer.
 	acks  chan pipelinedAck
 	slots chan struct{}
-	// pipelined is set by handleWrite when the current op's reply was left
-	// to the ack writer, which then also observes its latency.
-	pipelined bool
+	// observed is set by handleWrite when the current op's latency is not
+	// dispatch's to observe: a spilled write's reply was left to the ack
+	// writer, which observes it then, and an inline staged write observed
+	// it at its reply, before running.
+	observed bool
 }
 
 func (c *serverConn) run() (err error) {
@@ -355,7 +368,7 @@ func (c *serverConn) run() (err error) {
 	}()
 	var h header
 	for {
-		if err := readHeader(c.nc, &c.rhb, &h); err != nil {
+		if err := readHeader(c.rd, &c.rhb, &h); err != nil {
 			return err
 		}
 		if err := c.dispatch(&h); err != nil {
@@ -389,7 +402,7 @@ func (c *serverConn) reply(reqID uint64, flags uint16, errno Errno, value int64)
 	}
 	t0 := time.Now()
 	c.wmu.Lock()
-	err := writeFrame(c.out, &c.whb, &h, "", nil)
+	err := writeFrame(c.out, c.whb[:], &h, "", nil)
 	c.wmu.Unlock()
 	m.stageReply.Observe(time.Since(t0).Nanoseconds())
 	return err
@@ -485,16 +498,16 @@ func deferredFlags(d *descriptor) (uint16, Errno) {
 }
 
 // dispatch times the whole request (header decoded to reply written) into
-// the per-op latency histogram around handleOp. A pipelined spilled write's
-// reply is written later by the ack writer, which observes it then.
+// the per-op latency histogram around handleOp, unless handleWrite already
+// saw to it (see observed).
 func (c *serverConn) dispatch(h *header) error {
 	m := c.srv.metrics
 	i := opIndex(h.op)
 	m.requests[i].Inc()
 	start := time.Now()
 	err := c.handleOp(h, start)
-	if c.pipelined {
-		c.pipelined = false
+	if c.observed {
+		c.observed = false
 		return err
 	}
 	m.reqLatency[i].Observe(time.Since(start).Nanoseconds())
@@ -509,7 +522,7 @@ func (c *serverConn) handleOp(h *header, start time.Time) error {
 			return c.reply(h.reqID, 0, EINVAL, 0)
 		}
 		path := make([]byte, h.pathLen)
-		if _, err := io.ReadFull(c.nc, path); err != nil {
+		if _, err := io.ReadFull(c.rd, path); err != nil {
 			return err
 		}
 		handle, err := s.cfg.Backend.Open(string(path), true)
@@ -588,7 +601,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	d, ok := c.db.lookup(h.fd)
 	if !ok {
 		// Drain the payload to keep the stream in sync.
-		if _, err := io.CopyN(io.Discard, c.nc, int64(h.length)); err != nil {
+		if _, err := c.rd.Discard(int(h.length)); err != nil {
 			return err
 		}
 		return c.reply(h.reqID, 0, EBADF, 0)
@@ -607,7 +620,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 			s.bml.Put(buf)
 		}
 	}
-	if _, err := io.ReadFull(c.nc, buf); err != nil {
+	if _, err := io.ReadFull(c.rd, buf); err != nil {
 		putBuf()
 		return err
 	}
@@ -700,7 +713,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 		}, func(e error) { d.complete(opNum, e) }, d.spillRelease)
 		if serr == nil {
 			putBuf() // the spiller copied the payload into its log buffer
-			c.pipelined = true
+			c.observed = true
 			return nil
 		}
 		<-c.slots
@@ -717,17 +730,31 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	// The one decision staging adds: a pooled write under ModeAsync is
 	// acknowledged as soon as it is queued, and the worker that runs it
 	// returns its buffer and records its outcome for a later op to report.
+	// A write claimInline admits is acknowledged the same way and then run
+	// by the handler, which returns its buffer and records its outcome.
 	if pooled && s.cfg.Mode == ModeAsync {
 		flags, errno := deferredFlags(d)
+		inline := s.sched.claimInline(d)
 		d.start()
-		if err := s.sched.put(&task{d: d, op: OpWrite, buf: buf, off: off, opNum: opNum, enq: recvd}); err != nil {
-			d.complete(opNum, nil) // undo start: the op never entered the queue
-			putBuf()
-			m.queueRejects.Inc()
-			return c.reply(h.reqID, flags, ECLOSED, 0)
+		t := task{d: d, op: OpWrite, buf: buf, off: off, opNum: opNum, enq: recvd}
+		if !inline {
+			q := t // only a queued task outlives this frame
+			if err := s.sched.put(&q); err != nil {
+				d.complete(opNum, nil) // undo start: the op never entered the queue
+				putBuf()
+				m.queueRejects.Inc()
+				return c.reply(h.reqID, flags, ECLOSED, 0)
+			}
 		}
 		m.staged.Inc()
-		return c.reply(h.reqID, flags|FlagStaged, errno, n)
+		err := c.reply(h.reqID, flags|FlagStaged, errno, n)
+		if inline {
+			m.reqLatency[opIndex(h.op)].Observe(time.Since(start).Nanoseconds())
+			c.observed = true
+			s.execute(&t, time.Now(), m.connPanics)
+			s.sched.releaseInline()
+		}
+		return err
 	}
 
 	// Every other write runs to completion before its reply. A degraded

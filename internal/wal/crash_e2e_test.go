@@ -349,43 +349,48 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		// already be fsynced on the backend (the drainer's durability rule).
 		{name: "after-truncate", crash: "after-truncate:1", segBytes: 4 << 10,
 			plugLat: 1200 * time.Millisecond, nData: 12},
-		// 8 concurrent writers, shared cohorts. Killed one byte short of
-		// finishing the 3rd batch write: the cohort is torn on disk and none
-		// of its members were acknowledged, so recovery discards the tear and
-		// every acked record still reads back.
-		{name: "mid-batch-append", crash: "mid-batch-append:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, concurrent: true,
+		// 8 concurrent writers, shared cohorts, killed in the 9th batch. Each
+		// writer has one record in flight, so a batch holds at most 8: 72
+		// records make at least 9 batches, and batches 1..8 cannot all hold
+		// first records only, so some writer's record was acknowledged
+		// before batch 9 — every run has acked burst records to verify.
+		// Killed one byte short of finishing batch 9's write: the cohort is
+		// torn on disk and none of its members were acknowledged, so
+		// recovery discards the tear and every acked record still reads
+		// back.
+		{name: "mid-batch-append", crash: "mid-batch-append:9", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 72, concurrent: true,
 			wantUnacked: true, wantTorn: true},
-		// Killed after the 3rd batch reached the file but before its fsync:
-		// earlier (acked) cohorts must survive; batch 3 was never acked and
+		// Killed after batch 9 reached the file but before its fsync:
+		// earlier (acked) cohorts must survive; batch 9 was never acked and
 		// may or may not replay.
-		{name: "before-batch-sync", crash: "before-batch-sync:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, concurrent: true,
+		{name: "before-batch-sync", crash: "before-batch-sync:9", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 72, concurrent: true,
 			wantUnacked: true},
-		// Killed after the 3rd batch's fsync but before any member's ack:
+		// Killed after batch 9's fsync but before any member's ack:
 		// the whole cohort is durable yet unacknowledged — all-or-nothing at
 		// the ack level means recovery may replay all of it, never half.
-		{name: "after-batch-sync-before-ack", crash: "after-batch-sync-before-ack:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, concurrent: true,
+		{name: "after-batch-sync-before-ack", crash: "after-batch-sync-before-ack:9", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 72, concurrent: true,
 			wantUnacked: true},
 		// The same three batch-level points with the 8 writers sharing one
 		// connection: their records meet in a cohort only because the
 		// handler submits without waiting, and every reply the client saw
 		// was written after its cohort's fsync.
-		{name: "mid-batch-append-one-conn", crash: "mid-batch-append:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, concurrent: true, oneConn: true,
+		{name: "mid-batch-append-one-conn", crash: "mid-batch-append:9", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 72, concurrent: true, oneConn: true,
 			wantUnacked: true, wantTorn: true},
-		{name: "before-batch-sync-one-conn", crash: "before-batch-sync:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, concurrent: true, oneConn: true,
+		{name: "before-batch-sync-one-conn", crash: "before-batch-sync:9", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 72, concurrent: true, oneConn: true,
 			wantUnacked: true},
-		{name: "after-batch-sync-before-ack-one-conn", crash: "after-batch-sync-before-ack:3", segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, concurrent: true, oneConn: true,
+		{name: "after-batch-sync-before-ack-one-conn", crash: "after-batch-sync-before-ack:9", segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 72, concurrent: true, oneConn: true,
 			wantUnacked: true},
 		// fwdd's default policy commits through the same path: most commits
 		// skip the fsync, the torn cohort is still unacknowledged, and a
 		// process kill (the page cache survives it) loses no acked record.
-		{name: "mid-batch-append-interval", crash: "mid-batch-append:3", sync: SyncInterval, segBytes: 8 << 20,
-			plugLat: 3 * time.Second, nData: 24, concurrent: true,
+		{name: "mid-batch-append-interval", crash: "mid-batch-append:9", sync: SyncInterval, segBytes: 8 << 20,
+			plugLat: 3 * time.Second, nData: 72, concurrent: true,
 			wantUnacked: true, wantTorn: true},
 	}
 	for _, tc := range cases {

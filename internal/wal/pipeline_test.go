@@ -188,8 +188,9 @@ func (p *plugBackend) Open(name string, create bool) (core.Handle, error) {
 }
 
 // framedConn reports every completed Write on a channel. Over a net.Pipe a
-// Write returns only once the peer has read it all, so two reports — header,
-// payload — mean the server's handler holds the whole request frame.
+// Write returns only once the peer has read it all, and the client sends a
+// 16 KiB request frame in one Write, so one report means the server's
+// handler holds the whole request frame.
 type framedConn struct {
 	net.Conn
 	wrote chan struct{}
@@ -310,8 +311,7 @@ func TestPipelinedAcksOneConnection(t *testing.T) {
 					t.Errorf("overlapping write %d: %v", w, err)
 				}
 			}(w)
-			<-fc.wrote // header
-			<-fc.wrote // payload
+			<-fc.wrote // the whole frame
 		}
 		return &sent
 	}
