@@ -37,7 +37,8 @@ func main() {
 
 	// The compute-node side: every I/O call ships to the server. The zero
 	// ClientConfig reproduces the plain, non-resilient client; see the
-	// congestion-control example fields on core.ClientConfig.
+	// example config on core.ClientConfig for retries, failover, the
+	// in-flight cap and write coalescing.
 	ctx := context.Background()
 	client, err := core.ClientConfig{}.Dial(ctx, "tcp", l.Addr().String())
 	if err != nil {

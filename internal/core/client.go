@@ -18,23 +18,22 @@ import (
 // Client multiplexes concurrent requests from many goroutines over one
 // connection.
 //
-// A configured Client (see ClientConfig) is fault-tolerant and adaptive:
-// Timeout bounds every operation, MaxRetries retries operations the server
-// shed with EAGAIN, ReconnectAttempts re-establishes a failed transport
-// with exponential backoff plus jitter (re-opening descriptors and
-// replaying idempotent in-flight operations; non-idempotent ones fail fast
-// with ErrConnectionLost), Window gates admission through an AIMD
-// congestion window fed by an EWMA RTT estimator, and Coalesce merges
-// adjacent positional writes into single wire operations when the window
-// is full. Every public operation takes a context.Context; cancellation
+// A configured Client (see ClientConfig) is fault-tolerant: Timeout bounds
+// every operation, MaxRetries retries operations the server shed with
+// EAGAIN, ReconnectAttempts re-establishes a failed transport with
+// exponential backoff plus jitter (re-opening descriptors and replaying
+// idempotent in-flight operations; non-idempotent ones fail fast with
+// ErrConnectionLost), Window caps the operations in flight, and Coalesce
+// merges adjacent positional writes into single wire operations while the
+// cap is full. Every public operation takes a context.Context; cancellation
 // and deadlines propagate to admission waits, reconnect parks, retry
 // backoffs, and response waits.
 type Client struct {
 	cfg ClientConfig // normalized
 	met clientMetrics
 
-	cg     *congestion // nil: congestion control disabled (legacy admission)
-	coal   *coalescer  // nil: write coalescing disabled
+	adm    *admission // nil: no in-flight cap
+	coal   *coalescer // nil: write coalescing disabled
 	coalWG sync.WaitGroup
 
 	rngMu sync.Mutex
@@ -65,11 +64,10 @@ type openFile struct {
 
 // pendingCall is one in-flight request. The original arguments are retained
 // so idempotent calls can be replayed verbatim on a new connection. sentAt
-// timestamps the first transmission for the RTT estimator and the
-// congestion epoch filter; replayed marks calls re-sent after a failover,
-// whose round trips straddle a reconnect and must not feed the estimator
-// (Karn's algorithm). resp is filled by readLoop and delivered as &resp, so
-// a call allocates no separate response.
+// timestamps the first transmission for the smoothed RTT; replayed marks
+// calls re-sent after a failover, whose round trips straddle a reconnect and
+// are not sampled (Karn's algorithm). resp is filled by readLoop and
+// delivered as &resp, so a call allocates no separate response.
 //
 // dst is the caller's buffer of a read (nil for every other op): readLoop
 // reads a reply payload that fits straight into it. Ownership rule: once
@@ -129,11 +127,7 @@ type clientMetrics struct {
 	reconnects telemetry.Counter
 	replays    telemetry.Counter
 	lostOps    telemetry.Counter
-
-	coalesced     telemetry.Counter
-	cwndDecreases telemetry.Counter
-	rttNS         telemetry.Histogram
-	cwnd          telemetry.Gauge
+	coalesced  telemetry.Counter
 }
 
 func (m *clientMetrics) register(reg *telemetry.Registry) {
@@ -147,22 +141,6 @@ func (m *clientMetrics) register(reg *telemetry.Registry) {
 		"Idempotent in-flight operations replayed on a fresh connection.", &m.replays)
 	reg.MustRegister("iofwd_lost_ops_total",
 		"Non-idempotent in-flight operations failed with ErrConnectionLost on a connection failure.", &m.lostOps)
-}
-
-// registerCongestion exports the congestion-control families; registered
-// only when the window is enabled so legacy clients keep their exact
-// metric surface. The RTT family is iofwd_client_rtt_ns, not _seconds:
-// the repo's histograms carry explicit unit suffixes (_ns/_bytes/_ops)
-// enforced by telemetry.ValidateName.
-func (m *clientMetrics) registerCongestion(reg *telemetry.Registry) {
-	reg.MustRegister("iofwd_client_cwnd",
-		"Current AIMD congestion window in in-flight operation slots.", &m.cwnd)
-	reg.MustRegister("iofwd_client_rtt_ns",
-		"Per-operation round-trip times feeding the EWMA estimator (replayed operations excluded).", &m.rttNS)
-	reg.MustRegister("iofwd_cwnd_decreases_total",
-		"Multiplicative window decreases triggered by EAGAIN sheds or operation timeouts.", &m.cwndDecreases)
-	reg.MustRegister("iofwd_coalesced_writes_total",
-		"Positional writes merged into an adjacent in-flight frame instead of taking their own wire operation.", &m.coalesced)
 }
 
 // newClient builds the Client from a normalized config around an
@@ -183,15 +161,18 @@ func (cfg ClientConfig) newClient(nc net.Conn) *Client {
 	}
 	close(c.ready)
 	if n.Window.Max > 0 {
-		c.cg = newCongestion(n.Window, &c.met)
+		c.adm = newAdmission(n.Window.Max)
 		if n.Coalesce.MaxBytes > 0 {
 			c.coal = newCoalescer(c, n.Coalesce)
 		}
 	}
 	if n.Metrics != nil {
 		c.met.register(n.Metrics)
-		if c.cg != nil {
-			c.met.registerCongestion(n.Metrics)
+		if c.adm != nil {
+			// Only a capped client can coalesce; an uncapped one keeps the
+			// plain fault-counter surface.
+			n.Metrics.MustRegister("iofwd_coalesced_writes_total",
+				"Positional writes merged into an adjacent in-flight frame instead of taking their own wire operation.", &c.met.coalesced)
 		}
 	}
 	//lint:allow goroleak readLoop exits on its conn's read error; Client.Close closes nc, which unblocks and ends it
@@ -200,8 +181,8 @@ func (cfg ClientConfig) newClient(nc net.Conn) *Client {
 }
 
 // ClientStats is a point-in-time snapshot of the client's fault counters
-// and congestion-control state. The congestion fields (Cwnd, SRTT, RTTVar,
-// Inflight) are zero when the window is disabled.
+// and admission state. The admission fields (Cwnd, SRTT, Inflight) are zero
+// when Window.Max is 0.
 type ClientStats struct {
 	Retries    uint64
 	Timeouts   uint64
@@ -210,14 +191,14 @@ type ClientStats struct {
 	LostOps    uint64
 
 	CoalescedWrites uint64
-	CwndDecreases   uint64
-	Cwnd            float64
-	SRTT            time.Duration
-	RTTVar          time.Duration
-	Inflight        int
+	// Cwnd is the in-flight cap, WindowConfig.Max.
+	Cwnd float64
+	// SRTT is a 1/8-gain moving average of clean, non-replayed round trips.
+	SRTT     time.Duration
+	Inflight int
 }
 
-// Stats returns a snapshot of the client's counters and congestion state.
+// Stats returns a snapshot of the client's counters and admission state.
 func (c *Client) Stats() ClientStats {
 	s := ClientStats{
 		Retries:         c.met.retries.Value(),
@@ -226,10 +207,11 @@ func (c *Client) Stats() ClientStats {
 		Replays:         c.met.replays.Value(),
 		LostOps:         c.met.lostOps.Value(),
 		CoalescedWrites: c.met.coalesced.Value(),
-		CwndDecreases:   c.met.cwndDecreases.Value(),
 	}
-	if c.cg != nil {
-		s.Cwnd, s.SRTT, s.RTTVar, s.Inflight = c.cg.snapshot()
+	if c.adm != nil {
+		var limit int
+		limit, s.SRTT, s.Inflight = c.adm.snapshot()
+		s.Cwnd = float64(limit)
 	}
 	return s
 }
@@ -339,7 +321,7 @@ func (c *Client) connFailed(gen uint64, cause error) {
 	var replayIDs []uint64
 	for id, pc := range c.pending {
 		if idempotentOp(pc.op) {
-			pc.replayed = true // exclude its round trip from the RTT estimator
+			pc.replayed = true // exclude its round trip from the smoothed RTT
 			replay = append(replay, pc)
 			replayIDs = append(replayIDs, id)
 			continue
@@ -361,8 +343,8 @@ func (c *Client) connFailed(gen uint64, cause error) {
 // parked admission waiters, and to all future calls. Callers hold c.mu.
 func (c *Client) failLocked(err error) {
 	c.lastErr = err
-	if c.cg != nil {
-		c.cg.close(err)
+	if c.adm != nil {
+		c.adm.close(err)
 	}
 	for id, pc := range c.pending {
 		delete(c.pending, id)
@@ -502,7 +484,7 @@ func (c *Client) ctxErr(ctx context.Context, op Op, what string) error {
 }
 
 // call sends one request and waits for its response. The context governs
-// every wait on the way — window admission, the reconnect gate, the
+// every wait on the way — cap admission, the reconnect gate, the
 // response, and retry backoff — and ClientConfig.Timeout is layered on as a
 // derived deadline, so the op fails when either the caller's context or the
 // per-op budget expires. EAGAIN (shed) responses are retried with backoff
@@ -544,20 +526,19 @@ func retryableErrno(op Op) bool {
 	return false
 }
 
-// callOnce performs a single request/response exchange: window admission,
-// the reconnect-gate wait, registration, send, and the response wait, all
-// under ctx. It also feeds the congestion controller — a clean response is
-// an ack (with an RTT sample unless the op was replayed across a
-// reconnect), an EAGAIN or a deadline expiry is a congestion signal.
+// callOnce performs a single request/response exchange: in-flight cap
+// admission, the reconnect-gate wait, registration, send, and the response
+// wait, all under ctx. A clean response that was not replayed across a
+// reconnect is an RTT sample.
 func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, length uint32, path string, payload, dst []byte) (*response, error) {
-	if c.cg != nil {
-		if err := c.cg.acquire(ctx); err != nil {
+	if c.adm != nil {
+		if err := c.adm.acquire(ctx); err != nil {
 			if ctx.Err() != nil {
 				return nil, c.ctxErr(ctx, op, "waiting for a window slot")
 			}
 			return nil, err
 		}
-		defer c.cg.release()
+		defer c.adm.release()
 	}
 	pc := &pendingCall{
 		ch: make(chan callResult, 1),
@@ -604,15 +585,10 @@ func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, 
 	}
 	select {
 	case res := <-pc.ch:
-		if c.cg != nil && res.err == nil {
-			if res.resp.errno == EAGAIN {
-				c.cg.onCongestion(pc.sentAt)
-			} else {
-				// pc.replayed was written under c.mu before the replay was
-				// re-sent; the response delivery on pc.ch orders that write
-				// before this read.
-				c.cg.onAck(time.Since(pc.sentAt), !pc.replayed)
-			}
+		// pc.replayed was written under c.mu before the replay was re-sent;
+		// the response delivery on pc.ch orders that write before this read.
+		if c.adm != nil && res.err == nil && res.resp.errno != EAGAIN && !pc.replayed {
+			c.adm.sample(time.Since(pc.sentAt))
 		}
 		return res.resp, res.err
 	case <-ctx.Done():
@@ -623,9 +599,6 @@ func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, 
 		c.mu.Unlock()
 		if !mine && dst != nil {
 			<-pc.ch // readLoop claimed the reply and owns dst until it delivers
-		}
-		if c.cg != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			c.cg.onCongestion(pc.sentAt)
 		}
 		return nil, c.ctxErr(ctx, op, "awaiting a response")
 	}
@@ -705,7 +678,7 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	err := nc.Close()
 	// Join the coalescer senders. failLocked already failed their merged
-	// calls (and closed the window), and nc is closed above, so no sender
+	// calls (and closed the cap), and nc is closed above, so no sender
 	// can still be blocked on the network.
 	c.coalWG.Wait()
 	return err
@@ -746,10 +719,10 @@ func (f *File) Write(b []byte) (int, error) {
 // WriteAtCtx writes b at the given offset. Positional writes are
 // idempotent: after a connection failure with reconnection enabled, an
 // in-flight WriteAtCtx is replayed on the new connection instead of
-// failing. With coalescing enabled and the congestion window full,
-// adjacent writes on the same descriptor may be merged into one wire
-// operation; completion (including per-sub-write short counts and errors)
-// is split back per caller.
+// failing. With coalescing enabled and the in-flight cap full, adjacent
+// writes on the same descriptor may be merged into one wire operation;
+// completion (including per-sub-write short counts and errors) is split
+// back per caller.
 func (f *File) WriteAtCtx(ctx context.Context, b []byte, off int64) (int, error) {
 	if len(b) > MaxPayload || off < 0 {
 		return 0, EINVAL

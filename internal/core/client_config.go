@@ -12,7 +12,7 @@ import (
 // ClientConfig is the validated, context-aware configuration for a Client,
 // and the only way to construct one: build a config, Validate it (or let
 // Dial/Client do it), and every tunable is a named field. The zero value is
-// the original non-resilient, non-adaptive client exactly.
+// the plain client: no deadline, no retries, no failover, no in-flight cap.
 //
 //	cfg := core.ClientConfig{
 //		Timeout:           2 * time.Second,
@@ -51,43 +51,37 @@ type ClientConfig struct {
 	Seed int64
 
 	// Metrics, when non-nil, registers the client's counters
-	// (iofwd_retries_total, ...) and — with the window enabled — the
-	// congestion metrics (iofwd_client_cwnd, iofwd_client_rtt_ns,
-	// iofwd_cwnd_decreases_total, iofwd_coalesced_writes_total) on reg.
+	// (iofwd_retries_total, ...) on reg, plus iofwd_coalesced_writes_total
+	// when Window.Max is set.
 	Metrics *telemetry.Registry
 
-	// Window configures the adaptive in-flight congestion window; the zero
-	// value disables congestion control (legacy unbounded admission).
+	// Window caps the operations in flight; the zero value leaves admission
+	// unbounded.
 	Window WindowConfig
 
 	// Coalesce configures client-side write coalescing; the zero value
 	// disables it. Coalescing requires Window.Max > 0: merging keys off the
-	// window being full.
+	// cap being full.
 	Coalesce CoalesceConfig
 }
 
-// WindowConfig tunes the AIMD in-flight window that gates operation
-// admission. The window grows by one slot per clean RTT (slow start below
-// ssthresh, then additive increase) and shrinks multiplicatively by Beta on
-// a congestion signal — an EAGAIN shed or an op timeout — at most once per
-// round trip, so one burst of sheds costs one decrease, not a collapse.
+// WindowConfig caps the client's in-flight operations. An operation takes a
+// slot before it is sent and returns it when its response or deadline
+// arrives; a caller that finds every slot taken waits, first come first
+// served. The cap is fixed: the server's back-pressure (a reply that waits
+// for the backend, or an EAGAIN shed answered by MaxRetries/RetryBase
+// backoff) does the admission control.
 type WindowConfig struct {
-	// Max is the window ceiling in concurrent in-flight operations.
-	// 0 disables congestion control entirely.
+	// Max is the number of operations that may be in flight at once.
+	// 0 disables the cap.
 	Max int
-	// Initial is the starting window. 0 takes the default of 1 (slow start
-	// reaches capacity within log2(capacity) round trips).
-	Initial int
-	// Beta is the multiplicative decrease factor in (0, 1). 0 takes the
-	// default 0.5.
-	Beta float64
 }
 
-// CoalesceConfig tunes client-side write coalescing: when the congestion
-// window is full, adjacent same-descriptor positional writes are merged
-// into one wire operation — the client-side half of the paper's §IV
-// aggregation argument. Each merged frame occupies one window slot and one
-// round trip; completion is split back onto the constituent writes on ack.
+// CoalesceConfig tunes client-side write coalescing: while the in-flight
+// cap is full, adjacent same-descriptor positional writes are merged into
+// one wire operation — the client-side half of the paper's §IV aggregation
+// argument. Each merged frame occupies one slot and one round trip;
+// completion is split back onto the constituent writes on ack.
 type CoalesceConfig struct {
 	// MaxBytes caps a merged frame's payload. 0 disables coalescing;
 	// values above MaxPayload are invalid.
@@ -106,7 +100,6 @@ type CoalesceConfig struct {
 const (
 	DefaultRetryBase      = 5 * time.Millisecond
 	DefaultRetryMax       = 250 * time.Millisecond
-	DefaultWindowBeta     = 0.5
 	DefaultCoalesceOps    = 16
 	DefaultCoalesceLinger = 500 * time.Microsecond
 )
@@ -134,15 +127,6 @@ func (cfg *ClientConfig) Validate() error {
 	if cfg.Window.Max < 0 {
 		return fmt.Errorf("%w: WindowConfig.Max %d is negative", EINVAL, cfg.Window.Max)
 	}
-	if cfg.Window.Initial < 0 {
-		return fmt.Errorf("%w: WindowConfig.Initial %d is negative", EINVAL, cfg.Window.Initial)
-	}
-	if cfg.Window.Initial > cfg.Window.Max {
-		return fmt.Errorf("%w: WindowConfig.Initial %d exceeds Max %d", EINVAL, cfg.Window.Initial, cfg.Window.Max)
-	}
-	if cfg.Window.Beta != 0 && (cfg.Window.Beta <= 0 || cfg.Window.Beta >= 1) {
-		return fmt.Errorf("%w: WindowConfig.Beta %v is outside (0, 1)", EINVAL, cfg.Window.Beta)
-	}
 	if cfg.Coalesce.MaxBytes < 0 {
 		return fmt.Errorf("%w: CoalesceConfig.MaxBytes %d is negative", EINVAL, cfg.Coalesce.MaxBytes)
 	}
@@ -150,7 +134,7 @@ func (cfg *ClientConfig) Validate() error {
 		return fmt.Errorf("%w: CoalesceConfig.MaxBytes %d exceeds MaxPayload %d", EINVAL, cfg.Coalesce.MaxBytes, MaxPayload)
 	}
 	if cfg.Coalesce.MaxBytes > 0 && cfg.Window.Max == 0 {
-		return fmt.Errorf("%w: CoalesceConfig.MaxBytes set without WindowConfig.Max; coalescing keys off the congestion window being full", EINVAL)
+		return fmt.Errorf("%w: CoalesceConfig.MaxBytes set without WindowConfig.Max; coalescing keys off the in-flight cap being full", EINVAL)
 	}
 	if cfg.Coalesce.MaxOps < 0 {
 		return fmt.Errorf("%w: CoalesceConfig.MaxOps %d is negative", EINVAL, cfg.Coalesce.MaxOps)
@@ -175,14 +159,6 @@ func (cfg ClientConfig) normalized() ClientConfig {
 	}
 	if cfg.Redial != nil && cfg.ReconnectAttempts <= 0 {
 		cfg.ReconnectAttempts = 8
-	}
-	if cfg.Window.Max > 0 {
-		if cfg.Window.Initial == 0 {
-			cfg.Window.Initial = 1
-		}
-		if cfg.Window.Beta == 0 {
-			cfg.Window.Beta = DefaultWindowBeta
-		}
 	}
 	if cfg.Coalesce.MaxBytes > 0 {
 		if cfg.Coalesce.MaxOps == 0 {

@@ -6,242 +6,90 @@ import (
 	"time"
 )
 
-// congestion is the client's adaptive admission controller: an EWMA RTT /
-// RTTVAR estimator (RFC 6298 constants) feeding an AIMD in-flight window.
-// Every operation acquires a window slot before it touches the wire and
-// releases it when its response (or deadline) arrives, so the number of
-// concurrently outstanding requests never exceeds the window. The window
-// grows one slot per clean round trip — doubling per RTT in slow start
-// below ssthresh — and shrinks multiplicatively on a congestion signal
-// (an EAGAIN shed or an op timeout), at most once per round trip: signals
-// from operations sent before the previous decrease are echoes of the same
-// congestion event, not new information (Karn-style epoch filtering).
+// admission caps a Client's in-flight operations at WindowConfig.Max. It is
+// a counting semaphore whose slots are the elements buffered in a channel:
+// every operation takes a slot before it touches the wire and gives it back
+// when its response (or deadline) arrives. A caller that finds every slot
+// taken parks on the channel send. The runtime queues parked senders in
+// arrival order and moves the oldest one's element into the slot a release
+// frees, so a release hands its slot to the oldest waiter and a newcomer
+// cannot overtake a parked caller.
 //
-// This is what turns the server's EAGAIN shedding from a survivable fault
-// into a control signal: a fleet of clients each running this loop settles
-// onto the server's service capacity instead of oscillating between
-// hammering and idling in fixed backoff.
-type congestion struct {
-	mu       sync.Mutex
-	cwnd     float64
-	ssthresh float64
-	max      float64
-	beta     float64
-	inflight int
-	waiters  []*cwndWaiter
-	closed   bool
-	closeErr error
+// The cap does no congestion control of its own. The server's
+// back-pressure is the control (a reply that waits for the backend, or an
+// EAGAIN shed past QueueHighWater, answered by the retry backoff); the cap
+// bounds what one client can have queued there, and a full cap is the
+// coalescer's signal that writes are already waiting.
+type admission struct {
+	slots chan struct{}
+	done  chan struct{} // closed by close, after err is set
+	err   error
+	once  sync.Once
 
-	srtt         time.Duration
-	rttvar       time.Duration
-	hasRTT       bool
-	lastDecrease time.Time
-
-	met *clientMetrics
+	mu   sync.Mutex
+	srtt time.Duration
 }
 
-// cwndWaiter parks one admission request. granted is written under
-// congestion.mu by the granter before ch is closed, and read under the
-// same lock by the waiter after it wakes.
-type cwndWaiter struct {
-	ch      chan struct{}
-	granted bool
+func newAdmission(max int) *admission {
+	return &admission{slots: make(chan struct{}, max), done: make(chan struct{})}
 }
 
-func newCongestion(w WindowConfig, met *clientMetrics) *congestion {
-	g := &congestion{
-		cwnd:     float64(w.Initial),
-		ssthresh: float64(w.Max),
-		max:      float64(w.Max),
-		beta:     w.Beta,
-		met:      met,
-	}
-	met.cwnd.Set(int64(g.cwnd))
-	return g
-}
-
-// allowanceLocked is the integer admission limit implied by the window.
-func (g *congestion) allowanceLocked() int {
-	a := int(g.cwnd)
-	if a < 1 {
-		a = 1
-	}
-	return a
-}
-
-// acquire blocks until an in-flight slot is available, the context ends,
-// or the client fails terminally.
-func (g *congestion) acquire(ctx context.Context) error {
-	g.mu.Lock()
-	if g.closed {
-		err := g.closeErr
-		g.mu.Unlock()
-		return err
-	}
-	if g.inflight < g.allowanceLocked() && len(g.waiters) == 0 {
-		g.inflight++
-		g.mu.Unlock()
-		return nil
-	}
-	w := &cwndWaiter{ch: make(chan struct{})}
-	g.waiters = append(g.waiters, w)
-	g.mu.Unlock()
+// acquire blocks until an in-flight slot is free, the context ends, or the
+// client fails terminally. A caller whose context ends while it is parked
+// leaves without a slot, so the count stays exact.
+func (a *admission) acquire(ctx context.Context) error {
 	select {
-	case <-w.ch:
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		if !w.granted {
-			// Woken by close, not by a grant.
-			return g.closeErr
-		}
-		if g.closed {
-			// Granted, then the client failed before we ran: hand the
-			// slot on so accounting stays exact, and fail the call.
-			g.releaseLocked()
-			return g.closeErr
-		}
+	case <-a.done:
+		return a.err
+	default:
+	}
+	select {
+	case a.slots <- struct{}{}:
 		return nil
 	case <-ctx.Done():
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		if w.granted {
-			// The grant raced our cancellation; pass the slot on.
-			g.releaseLocked()
-		} else {
-			g.removeWaiterLocked(w)
-		}
 		return ctx.Err()
+	case <-a.done:
+		return a.err
 	}
 }
 
-// hasRoom reports whether an admission slot is immediately available. The
-// coalescer uses it as the merge trigger: a full window means writes are
-// already queueing, so merging them costs no extra latency. The probe is
-// advisory — a slot it sees may be taken before the caller acquires it —
-// which at worst turns one coalescing opportunity into a short window wait.
-func (g *congestion) hasRoom() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return !g.closed && len(g.waiters) == 0 && g.inflight < g.allowanceLocked()
+// release returns a slot taken by acquire.
+func (a *admission) release() { <-a.slots }
+
+// hasRoom reports whether a slot is free right now. The coalescer uses it as
+// the merge trigger: a full cap means writes are already waiting, so merging
+// them costs no extra latency. The probe is advisory — a slot it sees may be
+// taken before the caller acquires it — which at worst turns one coalescing
+// opportunity into a short wait. While any caller is parked every slot is
+// taken, so a parked caller also reads as no room.
+func (a *admission) hasRoom() bool { return len(a.slots) < cap(a.slots) }
+
+// close delivers err to every parked and future acquire. Slots already held
+// stay held; their operations are failed by Client.failLocked.
+func (a *admission) close(err error) {
+	a.once.Do(func() {
+		a.err = err
+		close(a.done)
+	})
 }
 
-// release returns an in-flight slot, handing it directly to the oldest
-// waiter while the window still covers it.
-func (g *congestion) release() {
-	g.mu.Lock()
-	g.releaseLocked()
-	g.mu.Unlock()
-}
-
-func (g *congestion) releaseLocked() {
-	if len(g.waiters) > 0 && g.inflight <= g.allowanceLocked() {
-		g.grantLocked()
-		return
-	}
-	g.inflight--
-}
-
-// grantLocked transfers the caller's slot to the oldest waiter: inflight
-// is unchanged, ownership moves.
-func (g *congestion) grantLocked() {
-	w := g.waiters[0]
-	g.waiters = g.waiters[1:]
-	w.granted = true
-	close(w.ch)
-}
-
-func (g *congestion) removeWaiterLocked(w *cwndWaiter) {
-	for i, o := range g.waiters {
-		if o == w {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// wakeLocked admits waiters into slots the window now covers (after an
-// increase).
-func (g *congestion) wakeLocked() {
-	for len(g.waiters) > 0 && g.inflight < g.allowanceLocked() {
-		g.inflight++
-		g.grantLocked()
-	}
-}
-
-// onAck records a clean round trip: the estimator absorbs the RTT sample
-// (replayed operations are excluded, Karn's algorithm — their timestamps
-// straddle a reconnect) and the window grows.
-func (g *congestion) onAck(rtt time.Duration, sample bool) {
-	g.mu.Lock()
-	if sample && rtt > 0 {
-		g.met.rttNS.Observe(rtt.Nanoseconds())
-		if !g.hasRTT {
-			g.srtt = rtt
-			g.rttvar = rtt / 2
-			g.hasRTT = true
-		} else {
-			d := g.srtt - rtt
-			if d < 0 {
-				d = -d
-			}
-			g.rttvar = (3*g.rttvar + d) / 4
-			g.srtt = (7*g.srtt + rtt) / 8
-		}
-	}
-	if g.cwnd < g.ssthresh {
-		g.cwnd++ // slow start: +1 per ack doubles the window each RTT
+// sample folds the round trip of a clean, non-replayed operation into the
+// smoothed RTT (gain 1/8, the RFC 6298 weight). Only Stats reads it.
+func (a *admission) sample(rtt time.Duration) {
+	a.mu.Lock()
+	if a.srtt == 0 {
+		a.srtt = rtt
 	} else {
-		g.cwnd += 1 / g.cwnd // congestion avoidance: +1 per window per RTT
+		a.srtt += (rtt - a.srtt) / 8
 	}
-	if g.cwnd > g.max {
-		g.cwnd = g.max
-	}
-	g.met.cwnd.Set(int64(g.cwnd))
-	g.wakeLocked()
-	g.mu.Unlock()
+	a.mu.Unlock()
 }
 
-// onCongestion reacts to a shed or timeout for an operation sent at sentAt:
-// multiplicative decrease, at most once per congestion epoch — signals from
-// operations sent before the previous decrease already paid for it.
-func (g *congestion) onCongestion(sentAt time.Time) {
-	g.mu.Lock()
-	if !g.lastDecrease.IsZero() && !sentAt.After(g.lastDecrease) {
-		g.mu.Unlock()
-		return
-	}
-	g.lastDecrease = time.Now()
-	g.cwnd *= g.beta
-	if g.cwnd < 1 {
-		g.cwnd = 1
-	}
-	g.ssthresh = g.cwnd
-	g.met.cwndDecreases.Inc()
-	g.met.cwnd.Set(int64(g.cwnd))
-	g.mu.Unlock()
-}
-
-// close delivers err to every parked and future admission request. Slots
-// already held stay held; their operations are failed by failLocked.
-func (g *congestion) close(err error) {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	g.closeErr = err
-	for _, w := range g.waiters {
-		close(w.ch)
-	}
-	g.waiters = nil
-	g.mu.Unlock()
-}
-
-// snapshot returns the current window, estimator state, and in-flight
-// count for Stats and the bench reporter.
-func (g *congestion) snapshot() (cwnd float64, srtt, rttvar time.Duration, inflight int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cwnd, g.srtt, g.rttvar, g.inflight
+// snapshot returns the cap, the smoothed RTT and the in-flight count for
+// Stats.
+func (a *admission) snapshot() (limit int, srtt time.Duration, inflight int) {
+	a.mu.Lock()
+	srtt = a.srtt
+	a.mu.Unlock()
+	return cap(a.slots), srtt, len(a.slots)
 }

@@ -17,20 +17,17 @@ type admissionArm struct {
 	coalesce bool
 }
 
-// admissionArms are the client admission policies under test: no window
-// (unbounded admission, EAGAIN answered by fixed jittered backoff), a fixed
-// in-flight cap of 2 or 8, each cap with write coalescing off and on, and
-// the AIMD window (Max 32, starting at 1). A cap arm starts its window at
-// the cap; on this build it is still an AIMD window and can shrink on a
-// shed.
+// admissionArms are the client admission policies under test: no cap
+// (unbounded admission, EAGAIN answered by jittered backoff), and an
+// in-flight cap of 2 or 8, each with write coalescing off and on. With 8
+// writers per client, cap 2 fills and lets coalescing merge; cap 8 never
+// fills.
 var admissionArms = []admissionArm{
 	{name: "none"},
-	{name: "cap2", window: WindowConfig{Max: 2, Initial: 2}},
-	{name: "cap2_coalesce", window: WindowConfig{Max: 2, Initial: 2}, coalesce: true},
-	{name: "cap8", window: WindowConfig{Max: 8, Initial: 8}},
-	{name: "cap8_coalesce", window: WindowConfig{Max: 8, Initial: 8}, coalesce: true},
-	{name: "aimd32", window: WindowConfig{Max: 32}},
-	{name: "aimd32_coalesce", window: WindowConfig{Max: 32}, coalesce: true},
+	{name: "cap2", window: WindowConfig{Max: 2}},
+	{name: "cap2_coalesce", window: WindowConfig{Max: 2}, coalesce: true},
+	{name: "cap8", window: WindowConfig{Max: 8}},
+	{name: "cap8_coalesce", window: WindowConfig{Max: 8}, coalesce: true},
 }
 
 // BenchmarkClientAdmission measures acked write goodput from 8 clients × 8

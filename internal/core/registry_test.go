@@ -31,8 +31,7 @@ var literalFamilies = []string{
 	"iofwd_shard_depth",
 	// internal/core: client
 	"iofwd_retries_total", "iofwd_timeouts_total", "iofwd_reconnects_total",
-	"iofwd_replays_total", "iofwd_lost_ops_total", "iofwd_client_cwnd",
-	"iofwd_client_rtt_ns", "iofwd_cwnd_decreases_total", "iofwd_coalesced_writes_total",
+	"iofwd_replays_total", "iofwd_lost_ops_total", "iofwd_coalesced_writes_total",
 	// internal/core/fault
 	"iofwd_fault_injected_total", "iofwd_fault_ops_total",
 	// internal/wal

@@ -2,6 +2,7 @@ package stripetier
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,6 +39,28 @@ func TestJournalEntryRoundTrip(t *testing.T) {
 			t.Fatalf("decode accepted bad payload %v", bad)
 		}
 	}
+}
+
+// FuzzDecodeJournalEntry: a journal frame's CRC only proves its payload is
+// the bytes once written, so the decoder must take any payload without
+// panicking, reject with an EIO-wrapped error, and accept only an entry
+// that re-encodes to exactly the input. The seed corpus under
+// testdata/fuzz/FuzzDecodeJournalEntry holds encodeJournalEntry output for
+// both ops and the range edges, truncations of one entry, and one entry
+// with a trailing byte.
+func FuzzDecodeJournalEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		op, k, err := decodeJournalEntry(in)
+		if err != nil {
+			if !errors.Is(err, core.EIO) {
+				t.Fatalf("decode failed with %v, want an EIO-wrapped error", err)
+			}
+			return
+		}
+		if got := encodeJournalEntry(op, k); !bytes.Equal(got, in) {
+			t.Fatalf("decoded (%d, %+v) re-encodes to %x, read %x", op, k, got, in)
+		}
+	})
 }
 
 // newPersistTier builds a 2-member, 2-replica tier whose pending set is
