@@ -162,25 +162,22 @@ func BenchmarkFigure13(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ---
 
-// BenchmarkAblationQueueDiscipline — shared FIFO (the paper) vs per-worker
-// queues with least-loaded dispatch (the extension the paper suggests).
+// BenchmarkAblationQueueDiscipline — shared FIFO (the paper) vs the real
+// server's sharded work-stealing scheduler.
 func BenchmarkAblationQueueDiscipline(b *testing.B) {
 	base := experiments.E2EConfig{
 		Mech: experiments.Async, Psets: 1, CNsPerPset: 64, DANodes: 1,
 		MsgBytes: mib, Iters: 40, Workers: 4,
 	}
 	b.Run("shared-fifo", func(b *testing.B) { reportE2E(b, base) })
-	// LeastLoaded is exercised through the pool config in unit tests; at
-	// the machine level the discipline difference is visible in queue
-	// imbalance, not throughput, because the sink dominates.
 	b.Run("shared-fifo/batch1", func(b *testing.B) {
 		cfg := base
 		cfg.Batch = 1
 		reportE2E(b, cfg)
 	})
-	// Sharded mirrors the production scheduler (per-worker shards, FD
-	// homing, work stealing); same caveat as LeastLoaded about sink-bound
-	// throughput, but it validates the model end to end.
+	// Sharded runs the real server's scheduling decisions (internal/policy).
+	// The sink dominates throughput, so the disciplines differ in queue
+	// imbalance rather than bandwidth.
 	b.Run("sharded", func(b *testing.B) {
 		cfg := base
 		cfg.Discipline = iofwd.Sharded

@@ -26,7 +26,6 @@ type ServerConfig struct {
 	Metrics      string
 	Mode         string
 	Workers      int
-	Shards       int
 	Batch        int
 	BMLMiB       int64
 	Backend      string
@@ -54,7 +53,6 @@ func bindFlags(fs *flag.FlagSet) *ServerConfig {
 	fs.StringVar(&c.Listen, "listen", "127.0.0.1:7070", "address to listen on")
 	fs.StringVar(&c.Mode, "mode", "async", "execution model: direct | workqueue | async")
 	fs.IntVar(&c.Workers, "workers", 4, "worker pool size (paper default: 4)")
-	fs.IntVar(&c.Shards, "shards", 0, "scheduler shard count (0 = one per worker, capped at GOMAXPROCS)")
 	fs.IntVar(&c.Batch, "batch", 8, "tasks dequeued per worker wakeup")
 	fs.Int64Var(&c.BMLMiB, "bml", 256, "staging memory cap in MiB")
 	fs.StringVar(&c.Backend, "backend", "mem", "backend: mem | null | file | sink")
@@ -116,7 +114,7 @@ func (c *ServerConfig) plan() (plan, error) {
 		flag string
 		v    int64
 	}{
-		{"-workers", int64(c.Workers)}, {"-shards", int64(c.Shards)}, {"-batch", int64(c.Batch)},
+		{"-workers", int64(c.Workers)}, {"-batch", int64(c.Batch)},
 		{"-bml", c.BMLMiB}, {"-sink-rate", c.SinkMiBps}, {"-queue-hw", int64(c.QueueHW)},
 		{"-bml-timeout", int64(c.BMLTimeout)}, {"-stripe-size", c.StripeSize},
 		{"-replicas", int64(c.Replicas)}, {"-eject-after", int64(c.EjectAfter)},
@@ -200,7 +198,6 @@ func (c *ServerConfig) open() (*daemon, error) {
 	cfg := core.Config{
 		Mode:           p.mode,
 		Workers:        c.Workers,
-		Shards:         c.Shards,
 		Batch:          c.Batch,
 		BMLBytes:       c.BMLMiB << 20,
 		Backend:        backend,

@@ -20,6 +20,8 @@ var deterministicPkgs = []string{
 	"repro/internal/experiments",
 	"repro/internal/bgp",
 	"repro/internal/core/fault",
+	// The forwarding decisions internal/core and the simulator share.
+	"repro/internal/policy",
 	// The striped tier's health tracker and repair loop are keyed off an
 	// op-driven logical clock, never the wall clock — ejection and
 	// readmission decisions replay exactly from an op trace.

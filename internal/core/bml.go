@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
 
@@ -17,7 +17,6 @@ import (
 // blocking forever on exhaustion.
 type BML struct {
 	capacity int64
-	minClass int64
 
 	mu      sync.Mutex
 	used    int64
@@ -54,17 +53,13 @@ type BMLStats struct {
 	Peak int64
 }
 
-// minBMLClass is the smallest buffer class.
-const minBMLClass = 4 * 1024
-
 // NewBML returns a pool with the given capacity in bytes.
 func NewBML(capacity int64) *BML {
-	if capacity < minBMLClass {
+	if capacity < policy.MinClass {
 		panic(fmt.Sprintf("core: BML capacity %d below minimum class", capacity))
 	}
 	return &BML{
 		capacity: capacity,
-		minClass: minBMLClass,
 		free:     make(map[int64][][]byte),
 		waitc:    make(chan struct{}),
 	}
@@ -99,15 +94,6 @@ func (b *BML) Stats() BMLStats {
 	}
 }
 
-// classFor rounds n up to the pool's power-of-2 class ("the buffer
-// management allocates buffers that are powers of 2 bytes").
-func classFor(n int) int64 {
-	if n <= minBMLClass {
-		return minBMLClass
-	}
-	return 1 << uint(bits.Len64(uint64(n-1)))
-}
-
 // Get returns a buffer whose capacity is the power-of-2 class holding n,
 // sliced to length n. It blocks while the pool is at capacity.
 func (b *BML) Get(n int) []byte {
@@ -122,7 +108,7 @@ func (b *BML) Get(n int) []byte {
 // bounded by Config.BMLTimeout; client contexts end at the wire, so it
 // takes none.
 func (b *BML) getTimeout(n int, d time.Duration) ([]byte, bool) {
-	c := classFor(n)
+	c := policy.Class(int64(n))
 	if c > b.capacity {
 		panic(fmt.Sprintf("core: buffer class %d exceeds BML capacity %d", c, b.capacity))
 	}
@@ -192,7 +178,7 @@ func (b *BML) Lease(n int) []byte {
 // admitted: the padded power-of-2 class must not exceed the pool capacity.
 // Callers reject oversized reads up front instead of panicking in Get.
 func (b *BML) LeaseFits(n int) bool {
-	return classFor(headerSize+n) <= b.capacity
+	return policy.Class(int64(headerSize+n)) <= b.capacity
 }
 
 // Put returns a buffer obtained from Get. The buffer must not be used after
@@ -202,7 +188,7 @@ func (b *BML) Put(buf []byte) {
 	if c == 0 {
 		return
 	}
-	if c&(c-1) != 0 || c < b.minClass {
+	if c&(c-1) != 0 || c < policy.MinClass {
 		panic(fmt.Sprintf("core: Put of non-pool buffer (cap %d)", c))
 	}
 	b.mu.Lock()

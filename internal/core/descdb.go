@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/policy"
 )
 
 // descSeq hands out global descriptor sequence ids. The scheduler hashes
@@ -50,8 +52,7 @@ type descriptor struct {
 	inFlight  int
 	spillLive int // spilled records whose durable WAL copy is still live
 	completed uint64
-	pendErr   error
-	pendOp    uint64
+	deferred  policy.Deferred
 	closed    bool
 	idle      *sync.Cond // broadcast when inFlight or spillLive drops to zero
 }
@@ -108,10 +109,7 @@ func (d *descriptor) complete(op uint64, err error) {
 	d.mu.Lock()
 	d.inFlight--
 	d.completed++
-	if err != nil && d.pendErr == nil {
-		d.pendErr = err
-		d.pendOp = op
-	}
+	d.deferred.Record(op, err)
 	if d.inFlight == 0 {
 		d.idle.Broadcast()
 	}
@@ -179,13 +177,12 @@ func (d *descriptor) waitSpillReleased() {
 // takeError returns and clears the deferred error, if any.
 func (d *descriptor) takeError() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.pendErr == nil {
+	op, err := d.deferred.Take()
+	d.mu.Unlock()
+	if err == nil {
 		return nil
 	}
-	err := &DeferredError{FD: d.fd, Op: d.pendOp, Err: d.pendErr}
-	d.pendErr = nil
-	return err
+	return &DeferredError{FD: d.fd, Op: op, Err: err}
 }
 
 // descDB is the per-connection descriptor table.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
 
@@ -44,10 +45,10 @@ type shard struct {
 	// appear in that descriptor's home shard, in submission (opNum) order.
 	items []*task
 	// executing counts, per descriptor sequence id, tasks dequeued from this
-	// shard and not yet finished. A dequeue (owner batch or steal) may only
-	// take a descriptor's tasks while this count is zero — or when the same
-	// batch already holds the descriptor's earlier tasks — so a descriptor's
-	// operations never run concurrently or out of order, even across steals.
+	// shard and not yet finished. A dequeue (owner batch or steal) takes a
+	// descriptor's tasks only while this count is zero (policy.Take), so a
+	// descriptor's operations never run concurrently or out of order, even
+	// across steals.
 	executing map[uint64]int
 	// poked is set by wakeIdle to tell a parked worker that a sibling shard
 	// has surplus work worth stealing.
@@ -104,9 +105,6 @@ func defaultShards(workers int) int {
 }
 
 func newScheduler(nshards, workers int) *scheduler {
-	if nshards < 1 {
-		nshards = 1
-	}
 	s := &scheduler{shards: make([]*shard, nshards), inlineMax: int32(workers)}
 	for i := range s.shards {
 		sh := &shard{executing: make(map[uint64]int)}
@@ -120,7 +118,7 @@ func newScheduler(nshards, workers int) *scheduler {
 // is a global round-robin ticket, so descriptors spread evenly regardless of
 // per-connection fd reuse.
 func (s *scheduler) homeShard(d *descriptor) *shard {
-	return s.shards[d.sid%uint64(len(s.shards))]
+	return s.shards[policy.Home(d.sid, len(s.shards))]
 }
 
 // ownShard returns the shard worker id drains first. With fewer shards than
@@ -205,41 +203,12 @@ func (s *scheduler) close() {
 	}
 }
 
-// take removes up to limit runnable tasks from sh in FIFO order and marks
-// their descriptors executing. A task is runnable when no earlier task of
-// its descriptor is still executing elsewhere, or when this same batch
-// already holds the descriptor's earlier tasks — either way the batch holds
-// a prefix of the descriptor's queued operations and executes it serially,
-// so opNum order survives both batching and stealing.
+// take removes up to limit runnable tasks from sh under policy.Take's
+// prefix rule and marks their descriptors executing.
 func (sh *shard) take(s *scheduler, limit int, out []*task) []*task {
-	out = out[:0]
-	if limit <= 0 {
-		return out
-	}
 	sh.mu.Lock()
-	if len(sh.items) == 0 {
-		sh.mu.Unlock()
-		return out
-	}
-	kept := 0
-	for i := 0; i < len(sh.items); i++ {
-		t := sh.items[i]
-		runnable := sh.executing[t.d.sid] == 0 || batchHolds(out, t.d.sid)
-		if len(out) < limit && runnable {
-			out = append(out, t)
-		} else {
-			sh.items[kept] = t
-			kept++
-		}
-	}
-	for i := kept; i < len(sh.items); i++ {
-		sh.items[i] = nil
-	}
-	sh.items = sh.items[:kept]
-	for _, t := range out {
-		sh.executing[t.d.sid]++
-	}
-	sh.depth.Store(int64(kept))
+	sh.items, out = policy.Take(sh.items, out, limit, taskSID, sh.executing)
+	sh.depth.Store(int64(len(sh.items)))
 	sh.mu.Unlock()
 	if n := len(out); n > 0 {
 		s.aggDepth.Add(-int64(n))
@@ -247,38 +216,26 @@ func (sh *shard) take(s *scheduler, limit int, out []*task) []*task {
 	return out
 }
 
-// batchHolds reports whether batch already contains a task of descriptor
-// sequence id sid. Batches are small (≤ cfg.Batch), so a linear scan beats a
-// per-dequeue map allocation.
-func batchHolds(batch []*task, sid uint64) bool {
-	for _, t := range batch {
-		if t.d.sid == sid {
-			return true
-		}
-	}
-	return false
-}
+func taskSID(t *task) uint64 { return t.d.sid }
 
-// steal takes up to half of victim's queue (capped at limit) for an idle
-// worker, honoring the same descriptor-prefix rule as take. drain mode
-// (shutdown) lifts the half cap so the last workers can empty every shard.
-func (s *scheduler) steal(victim *shard, limit int, drain bool, out []*task) []*task {
-	n := int(victim.depth.Load())
-	if n == 0 {
-		return out[:0]
+func shardDepth(sh *shard) int { return int(sh.depth.Load()) }
+
+// steal takes a policy.StealCount share of the policy.Victim shard's queue
+// for the idle worker owning shard own, under take's prefix rule, and
+// returns the shard it took from. drain is set at shutdown. The depth reads
+// are racy by design — a stale victim choice costs one wasted lock, never
+// correctness.
+func (s *scheduler) steal(own, limit int, drain bool, out []*task) (*shard, []*task) {
+	v := policy.Victim(s.shards, own, shardDepth)
+	if v < 0 {
+		return nil, out[:0]
 	}
-	want := (n + 1) / 2
-	if drain {
-		want = n
-	}
-	if want > limit {
-		want = limit
-	}
-	batch := victim.take(s, want, out)
+	victim := s.shards[v]
+	batch := victim.take(s, policy.StealCount(shardDepth(victim), limit, drain), out)
 	if len(batch) > 0 && s.steals != nil {
 		s.steals.Inc()
 	}
-	return batch
+	return victim, batch
 }
 
 // next returns the worker's next batch and the shard it was taken from, or
@@ -292,10 +249,8 @@ func (s *scheduler) next(id, max int, out []*task) (*shard, []*task) {
 			return own, batch
 		}
 		closed := s.closed.Load()
-		if victim := s.busiest(own); victim != nil {
-			if batch := s.steal(victim, max, closed, out); len(batch) > 0 {
-				return victim, batch
-			}
+		if victim, batch := s.steal(id%len(s.shards), max, closed, out); len(batch) > 0 {
+			return victim, batch
 		}
 		if closed {
 			if s.aggDepth.Load() == 0 {
@@ -312,23 +267,6 @@ func (s *scheduler) next(id, max int, out []*task) (*shard, []*task) {
 		}
 		s.park(id, own)
 	}
-}
-
-// busiest returns the deepest shard other than own, or nil when every other
-// shard is empty. The depth reads are racy by design — a stale victim choice
-// costs one wasted lock, never correctness.
-func (s *scheduler) busiest(own *shard) *shard {
-	var victim *shard
-	var max int64
-	for _, sh := range s.shards {
-		if sh == own {
-			continue
-		}
-		if d := sh.depth.Load(); d > max {
-			max, victim = d, sh
-		}
-	}
-	return victim
 }
 
 // park blocks the worker on its own shard's cond until new work arrives
@@ -383,11 +321,7 @@ func (s *scheduler) wakeIdle() {
 // blocked on exactly these descriptors).
 func (s *scheduler) finish(sh *shard, batch []*task) {
 	sh.mu.Lock()
-	for _, t := range batch {
-		if sh.executing[t.d.sid]--; sh.executing[t.d.sid] <= 0 {
-			delete(sh.executing, t.d.sid)
-		}
-	}
+	policy.Finish(batch, taskSID, sh.executing)
 	notify := len(sh.items) > 0
 	sh.mu.Unlock()
 	if notify {

@@ -36,7 +36,7 @@ func (h *orderHandle) Close() error                            { return nil }
 // descriptor's operations must execute in opNum order even though idle
 // workers are stealing around it.
 func TestShardOrderingPerDescriptor(t *testing.T) {
-	srv := NewServer(Config{Mode: ModeAsync, Workers: 4, Shards: 4, Batch: 4})
+	srv := newServer(Config{Mode: ModeAsync, Workers: 4, Batch: 4}, 4)
 	defer srv.Close()
 
 	hot := newDescriptor(3, "hot", &orderHandle{})
@@ -94,7 +94,7 @@ func (h *slowCountHandle) Close() error                            { return nil 
 // other three workers have empty shards and must drain the backlog via
 // steals, which the steal counter records.
 func TestWorkStealingDrainsHotShard(t *testing.T) {
-	srv := NewServer(Config{Mode: ModeWorkQueue, Workers: 4, Shards: 4, Batch: 2})
+	srv := newServer(Config{Mode: ModeWorkQueue, Workers: 4, Batch: 2}, 4)
 	defer srv.Close()
 
 	var runs atomic.Int64
@@ -135,7 +135,7 @@ func TestWorkStealingDrainsHotShard(t *testing.T) {
 // Run under -race this also checks the close/put publication ordering.
 func TestPutDuringCloseReturnsECLOSED(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		srv := NewServer(Config{Mode: ModeWorkQueue, Workers: 2, Shards: 2})
+		srv := newServer(Config{Mode: ModeWorkQueue, Workers: 2}, 2)
 		var wg sync.WaitGroup
 		var rejected atomic.Int64
 		for p := 0; p < 4; p++ {
@@ -179,7 +179,7 @@ func TestPutDuringCloseReturnsECLOSED(t *testing.T) {
 // puts and dequeues without touching shard locks (it is one atomic load),
 // and must settle to zero after a drain.
 func TestSchedulerAtomicDepth(t *testing.T) {
-	srv := NewServer(Config{Mode: ModeAsync, Workers: 2, Shards: 2})
+	srv := newServer(Config{Mode: ModeAsync, Workers: 2}, 2)
 	defer srv.Close()
 	if got := srv.sched.depth(); got != 0 {
 		t.Fatalf("fresh scheduler depth %d", got)
@@ -213,7 +213,7 @@ func TestSchedulerAtomicDepth(t *testing.T) {
 func TestZeroCopyReadE2E(t *testing.T) {
 	for _, mode := range []Mode{ModeDirect, ModeWorkQueue, ModeAsync} {
 		t.Run(mode.String(), func(t *testing.T) {
-			srv := NewServer(Config{Mode: mode, Workers: 2, Shards: 2})
+			srv := newServer(Config{Mode: mode, Workers: 2}, 2)
 			defer srv.Close()
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -266,7 +266,7 @@ func TestZeroCopyReadE2E(t *testing.T) {
 // gauges (one per shard), the steal counter, and the zero-copy counter must
 // all be exported.
 func TestShardMetricsRegistered(t *testing.T) {
-	srv := NewServer(Config{Mode: ModeAsync, Workers: 4, Shards: 3})
+	srv := newServer(Config{Mode: ModeAsync, Workers: 4}, 3)
 	defer srv.Close()
 	var buf bytes.Buffer
 	if err := srv.Metrics().WritePrometheus(&buf); err != nil {

@@ -49,11 +49,6 @@ type Config struct {
 	// Workers is the worker-pool size (paper default: 4); ModeDirect starts
 	// no pool and ignores it.
 	Workers int
-	// Shards is the number of scheduler task queues. Producers hash tasks to
-	// shards by descriptor, each worker drains its own shard and steals from
-	// the busiest sibling when idle. 0 picks one shard per worker, capped at
-	// GOMAXPROCS.
-	Shards int
 	// Batch is the maximum number of tasks a worker dequeues per wakeup.
 	Batch int
 	// BMLBytes caps staging memory; writes block when it is exhausted.
@@ -125,8 +120,12 @@ type Server struct {
 }
 
 // NewServer builds a server and starts its worker pool if the mode needs
-// one.
-func NewServer(cfg Config) *Server {
+// one. The pool has defaultShards(Workers) scheduler shards.
+func NewServer(cfg Config) *Server { return newServer(cfg, 0) }
+
+// newServer is NewServer with the shard count pinned when shards > 0, for
+// tests that place descriptors on particular shards.
+func newServer(cfg Config, shards int) *Server {
 	if cfg.Backend == nil {
 		cfg.Backend = NewMemBackend()
 	}
@@ -148,11 +147,10 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, bml: NewBML(cfg.BMLBytes), metrics: newServerMetrics(reg)}
 	if cfg.Mode != ModeDirect {
-		nshards := cfg.Shards
-		if nshards <= 0 {
-			nshards = defaultShards(cfg.Workers)
+		if shards <= 0 {
+			shards = defaultShards(cfg.Workers)
 		}
-		s.sched = newScheduler(nshards, cfg.Workers)
+		s.sched = newScheduler(shards, cfg.Workers)
 	}
 	s.metrics.wire(s)
 	if s.sched != nil {

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/policy"
 )
 
 // pipePair wires a client to a server over an in-memory connection.
@@ -437,7 +439,7 @@ func TestModePolicy(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				s := NewServer(Config{
 					Mode: mode, Workers: 1,
-					BMLBytes: 2 * minBMLClass, BMLTimeout: time.Millisecond,
+					BMLBytes: 2 * policy.MinClass, BMLTimeout: time.Millisecond,
 					Backend: panicAtBackend{NewMemBackend(), panicOff},
 				})
 				t.Cleanup(func() { _ = s.Close() })
@@ -455,7 +457,7 @@ func TestModePolicy(t *testing.T) {
 				}
 				var plug []byte
 				if degraded {
-					plug = s.bml.Get(2 * minBMLClass) // every write misses admission
+					plug = s.bml.Get(2 * policy.MinClass) // every write misses admission
 				}
 				payload := bytes.Repeat([]byte{7}, n)
 				for _, off := range []int64{0, panicOff} {

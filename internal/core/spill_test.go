@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/policy"
 )
 
 // fakeSpill is a controllable Spiller: it records submits, acknowledges
@@ -71,13 +73,13 @@ func (f *fakeSpill) waitSubmits(t *testing.T, n int) []spillRec {
 }
 
 // writeResults runs n concurrent WriteAts of one BML class each, at offsets
-// i*minBMLClass, and returns a channel per write that yields its error.
+// i*policy.MinClass, and returns a channel per write that yields its error.
 func writeResults(f *File, n int) []chan error {
 	res := make([]chan error, n)
 	for i := range res {
 		res[i] = make(chan error, 1)
 		go func(i int) {
-			_, err := f.WriteAt(bytes.Repeat([]byte{byte(0x10 + i)}, minBMLClass), int64(i*minBMLClass))
+			_, err := f.WriteAt(bytes.Repeat([]byte{byte(0x10 + i)}, policy.MinClass), int64(i*policy.MinClass))
 			res[i] <- err
 		}(i)
 	}
@@ -92,7 +94,7 @@ func spillPair(t *testing.T, fs *fakeSpill) (*Client, *Server) {
 	cfg := Config{
 		Mode:       ModeAsync,
 		Workers:    1,
-		BMLBytes:   minBMLClass,
+		BMLBytes:   policy.MinClass,
 		BMLTimeout: time.Millisecond,
 		Backend:    NewMemBackend(),
 	}
@@ -100,7 +102,7 @@ func spillPair(t *testing.T, fs *fakeSpill) (*Client, *Server) {
 		cfg.Spill = fs
 	}
 	c, s := pipePair(t, cfg)
-	plug := s.bml.Get(minBMLClass)
+	plug := s.bml.Get(policy.MinClass)
 	t.Cleanup(func() { s.bml.Put(plug) })
 	return c, s
 }
@@ -112,7 +114,7 @@ func TestSpillAbsorbsAdmissionMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte{0xab}, minBMLClass)
+	payload := bytes.Repeat([]byte{0xab}, policy.MinClass)
 	if n, err := f.WriteAt(payload, 128); err != nil || n != len(payload) {
 		t.Fatalf("spilled write: n=%d err=%v", n, err)
 	}
@@ -139,7 +141,7 @@ func TestSpillDrainFailureIsDeferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte{0x5c}, minBMLClass)
+	payload := bytes.Repeat([]byte{0x5c}, policy.MinClass)
 	if _, err := f.WriteAt(payload, 0); err != nil {
 		t.Fatalf("spilled write acked with error: %v", err)
 	}
@@ -163,7 +165,7 @@ func TestSpillRefusalFallsBackToDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Repeat([]byte{0x11}, minBMLClass)
+	payload := bytes.Repeat([]byte{0x11}, policy.MinClass)
 	if n, err := f.WriteAt(payload, 0); err != nil || n != len(payload) {
 		t.Fatalf("degraded write: n=%d err=%v", n, err)
 	}
@@ -198,7 +200,7 @@ func TestSpillOrderingSerializesWithWAL(t *testing.T) {
 	cfg := Config{
 		Mode:       ModeAsync,
 		Workers:    1,
-		BMLBytes:   minBMLClass,
+		BMLBytes:   policy.MinClass,
 		BMLTimeout: time.Millisecond,
 		Backend:    NewMemBackend(),
 		Spill:      fs,
@@ -220,8 +222,8 @@ func TestSpillOrderingSerializesWithWAL(t *testing.T) {
 	}
 
 	// Write 1 misses admission (BML plugged) and spills.
-	plug := s.bml.Get(minBMLClass)
-	if _, err := f.WriteAt(bytes.Repeat([]byte{0xa1}, minBMLClass), 0); err != nil {
+	plug := s.bml.Get(policy.MinClass)
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xa1}, policy.MinClass), 0); err != nil {
 		t.Fatal(err)
 	}
 	rec0 := fs.take(t, 0)
@@ -229,7 +231,7 @@ func TestSpillOrderingSerializesWithWAL(t *testing.T) {
 	// Write 2 would be admitted (BML free again), but record 1 is still
 	// live in the WAL: it must route through the spiller, not the shard.
 	s.bml.Put(plug)
-	if _, err := f.WriteAt(bytes.Repeat([]byte{0xb2}, minBMLClass), 0); err != nil {
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xb2}, policy.MinClass), 0); err != nil {
 		t.Fatal(err)
 	}
 	rec1 := fs.take(t, 1)
@@ -242,7 +244,7 @@ func TestSpillOrderingSerializesWithWAL(t *testing.T) {
 	fs.mu.Lock()
 	fs.refuse = errors.New("wal full")
 	fs.mu.Unlock()
-	final := bytes.Repeat([]byte{0xc3}, minBMLClass)
+	final := bytes.Repeat([]byte{0xc3}, policy.MinClass)
 	done := make(chan error, 1)
 	go func() {
 		_, err := f.WriteAt(final, 0)
@@ -285,7 +287,7 @@ func TestStageAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt(bytes.Repeat([]byte{1}, minBMLClass), 0); err != nil {
+		if _, err := f.WriteAt(bytes.Repeat([]byte{1}, policy.MinClass), 0); err != nil {
 			t.Fatal(err)
 		}
 		m := s.metrics
@@ -304,7 +306,7 @@ func TestStageAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt(bytes.Repeat([]byte{2}, minBMLClass), 0); err != nil {
+		if _, err := f.WriteAt(bytes.Repeat([]byte{2}, policy.MinClass), 0); err != nil {
 			t.Fatal(err)
 		}
 		m := s.metrics
@@ -455,7 +457,7 @@ func TestSpillCommitFailureRepliesEIO(t *testing.T) {
 	recs := fs.waitSubmits(t, 3)
 	commitErr := fmt.Errorf("%w: syncing batch: injected", EIO)
 	for _, rec := range recs {
-		i := int(rec.off / minBMLClass)
+		i := int(rec.off / policy.MinClass)
 		if i == 0 {
 			rec.acked(nil)
 			if err := <-res[i]; err != nil {
@@ -486,7 +488,7 @@ func TestSpillCommitFailureRepliesEIO(t *testing.T) {
 	fs.mu.Lock()
 	fs.holdAcks = false
 	fs.mu.Unlock()
-	if _, err := f.WriteAt(bytes.Repeat([]byte{0x77}, minBMLClass), 0); err != nil {
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0x77}, policy.MinClass), 0); err != nil {
 		t.Fatalf("write after commit failure: %v", err)
 	}
 	if st := s.Stats(); st.Spilled != 2 {
@@ -503,11 +505,11 @@ func TestSpillConnDropWaitsForAcks(t *testing.T) {
 	const n = 4
 	fs := &fakeSpill{holdAcks: true}
 	s := NewServer(Config{
-		Mode: ModeAsync, Workers: 1, BMLBytes: minBMLClass, BMLTimeout: time.Millisecond,
+		Mode: ModeAsync, Workers: 1, BMLBytes: policy.MinClass, BMLTimeout: time.Millisecond,
 		Backend: NewMemBackend(), Spill: fs,
 	})
 	defer s.Close()
-	plug := s.bml.Get(minBMLClass)
+	plug := s.bml.Get(policy.MinClass)
 	defer s.bml.Put(plug)
 	cc, sc := net.Pipe()
 	served := make(chan error, 1)
@@ -530,8 +532,8 @@ func TestSpillConnDropWaitsForAcks(t *testing.T) {
 		t.Fatalf("ServeConn returned (%v) with %d acks unresolved", err, n)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if used := s.bml.Used(); used != minBMLClass {
-		t.Fatalf("staging pool holds %d bytes with the handler gone, want the %d-byte plug alone", used, minBMLClass)
+	if used := s.bml.Used(); used != policy.MinClass {
+		t.Fatalf("staging pool holds %d bytes with the handler gone, want the %d-byte plug alone", used, policy.MinClass)
 	}
 	for _, rec := range recs {
 		rec.acked(nil)

@@ -69,7 +69,7 @@ type E2EConfig struct {
 	Workers  int
 	Batch    int
 	// Discipline selects the worker-pool queueing discipline for the WQ and
-	// Async mechanisms (SharedFIFO, LeastLoaded, or Sharded).
+	// Async mechanisms (SharedFIFO or Sharded).
 	Discipline iofwd.Discipline
 	Params     *bgp.Params
 	// Reads switches the workload from writes to reads (fig 4 measures

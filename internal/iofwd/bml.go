@@ -2,8 +2,8 @@ package iofwd
 
 import (
 	"fmt"
-	"math/bits"
 
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
@@ -18,37 +18,20 @@ import (
 type BML struct {
 	mem *sim.Resource
 
-	// MinClass is the smallest buffer class in bytes (allocations round up
-	// to at least this).
-	minClass int64
-
 	allocated int64
 	peak      int64
 	stall     sim.Time
 	allocs    uint64
 }
 
-// MinBufferClass is the smallest BML buffer class: tiny operations still
-// consume a 4 KiB buffer, as a real slab allocator would.
-const MinBufferClass = 4 * 1024
-
 // NewBML returns a buffer pool with the given total capacity in bytes
 // ("The total memory managed by BML can be controlled by an environment
 // variable during the application launch").
 func NewBML(e *sim.Engine, capacity int64) *BML {
-	if capacity < MinBufferClass {
+	if capacity < policy.MinClass {
 		panic(fmt.Sprintf("iofwd: BML capacity %d below minimum class", capacity))
 	}
-	return &BML{mem: sim.NewResource(e, capacity), minClass: MinBufferClass}
-}
-
-// ClassSize returns the power-of-2 buffer class that holds n bytes ("the
-// buffer management allocates buffers that are powers of 2 bytes").
-func ClassSize(n int64) int64 {
-	if n <= MinBufferClass {
-		return MinBufferClass
-	}
-	return 1 << uint(bits.Len64(uint64(n-1)))
+	return &BML{mem: sim.NewResource(e, capacity)}
 }
 
 // Capacity returns the configured pool size.
@@ -70,7 +53,7 @@ func (b *BML) Allocs() uint64 { return b.allocs }
 // class size fits under the capacity. It returns the class size actually
 // reserved, which the caller must pass back to Put.
 func (b *BML) Get(p *sim.Proc, n int64) int64 {
-	c := ClassSize(n)
+	c := policy.Class(n)
 	if c > b.mem.Capacity() {
 		panic(fmt.Sprintf("iofwd: buffer class %d exceeds BML capacity %d", c, b.mem.Capacity()))
 	}
@@ -87,7 +70,7 @@ func (b *BML) Get(p *sim.Proc, n int64) int64 {
 
 // TryGet allocates without blocking; it returns (class, true) on success.
 func (b *BML) TryGet(n int64) (int64, bool) {
-	c := ClassSize(n)
+	c := policy.Class(n)
 	if !b.mem.TryAcquire(c) {
 		return 0, false
 	}

@@ -3,6 +3,7 @@ package iofwd
 import (
 	"fmt"
 
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
@@ -23,11 +24,9 @@ type Descriptor struct {
 	// Completed counts finished operations.
 	Completed uint64
 
-	// pendingErr is the first unreported error from a completed staged
-	// operation; it is returned (and cleared) by the next operation.
-	pendingErr error
-	// pendingErrOp is the op counter of the failed operation.
-	pendingErrOp uint64
+	// deferred is the first unreported error from a completed staged
+	// operation; the next operation returns and clears it.
+	deferred policy.Deferred
 
 	waiters []*sim.Proc // procs blocked in Close/drain on this descriptor
 	closed  bool
@@ -71,12 +70,11 @@ func (db *DescriptorDB) Len() int { return len(db.byFD) }
 // TakeError returns and clears the deferred error on d, tagged with the
 // operation counter it belongs to.
 func (d *Descriptor) TakeError() error {
-	if d.pendingErr == nil {
+	op, err := d.deferred.Take()
+	if err == nil {
 		return nil
 	}
-	err := fmt.Errorf("iofwd: deferred error from op %d on fd %d: %w", d.pendingErrOp, d.FD, d.pendingErr)
-	d.pendingErr = nil
-	return err
+	return fmt.Errorf("iofwd: deferred error from op %d on fd %d: %w", op, d.FD, err)
 }
 
 // Start records the submission of a staged operation and returns its op
@@ -96,10 +94,7 @@ func (db *DescriptorDB) Complete(d *Descriptor, op uint64, err error) {
 	}
 	d.InFlight--
 	d.Completed++
-	if err != nil && d.pendingErr == nil {
-		d.pendingErr = err
-		d.pendingErrOp = op
-	}
+	d.deferred.Record(op, err)
 	if d.InFlight == 0 {
 		for _, p := range d.waiters {
 			db.eng.Ready(p)

@@ -3,6 +3,7 @@ package iofwd
 import (
 	"fmt"
 
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/simcpu"
 )
@@ -37,14 +38,12 @@ const (
 	// SharedFIFO is the paper's design: one shared first-in first-out work
 	// queue drained by all workers.
 	SharedFIFO Discipline = iota
-	// LeastLoaded gives each worker a private queue and enqueues to the
-	// shortest — the "simple load-balancing heuristic" the paper mentions
-	// could be extended; kept for the ablation benchmark.
-	LeastLoaded
-	// Sharded mirrors internal/core's production scheduler: each worker owns
-	// a queue, tasks home to a shard by descriptor FD (so one descriptor's
-	// operations never run concurrently or out of order), and an idle worker
-	// steals half a batch from the busiest sibling before parking.
+	// Sharded runs internal/core's scheduler decisions (internal/policy) on
+	// the sim clock: each worker owns a queue, tasks home to a queue by
+	// descriptor FD, a batch takes a runnable prefix of each descriptor's
+	// tasks (so one descriptor's operations never run concurrently or out of
+	// order), and an idle worker steals from the deepest sibling before
+	// parking.
 	Sharded
 )
 
@@ -70,14 +69,14 @@ type PoolConfig struct {
 // decoupling the number of I/O-executing threads from the number of compute
 // clients — the paper's I/O scheduling mechanism.
 type WorkerPool struct {
-	eng    *sim.Engine
-	cpu    *simcpu.CPU
-	cfg    PoolConfig
-	queues []*sim.Queue[*Task]
-	rr     int
+	eng   *sim.Engine
+	cpu   *simcpu.CPU
+	cfg   PoolConfig
+	queue *sim.Queue[*Task] // SharedFIFO
 
-	// Sharded-discipline state: per-FD in-execution counts (the ordering
-	// guard), parked workers awaiting a poke, and the steal count.
+	// Sharded state: one FIFO per worker, per-FD in-execution counts (the
+	// ordering guard), parked workers awaiting a poke, and the steal count.
+	shards    [][]*Task
 	executing map[int]int
 	idle      []*sim.Proc
 	steals    uint64
@@ -96,24 +95,19 @@ func NewWorkerPool(e *sim.Engine, cpu *simcpu.CPU, cfg PoolConfig) *WorkerPool {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 8
 	}
-	wp := &WorkerPool{eng: e, cpu: cpu, cfg: cfg, executing: make(map[int]int)}
-	nq := 1
-	if cfg.Discipline != SharedFIFO {
-		nq = cfg.Workers
-	}
-	for i := 0; i < nq; i++ {
-		wp.queues = append(wp.queues, sim.NewQueue[*Task](e, 0))
+	wp := &WorkerPool{eng: e, cpu: cpu, cfg: cfg}
+	if cfg.Discipline == Sharded {
+		wp.shards = make([][]*Task, cfg.Workers)
+		wp.executing = make(map[int]int)
+	} else {
+		wp.queue = sim.NewQueue[*Task](e, 0)
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
-		q := wp.queues[0]
-		if cfg.Discipline != SharedFIFO {
-			q = wp.queues[w]
-		}
 		if cfg.Discipline == Sharded {
 			e.SpawnDaemon(fmt.Sprintf("worker%d", w), func(p *sim.Proc) { wp.runSharded(p, w) })
 		} else {
-			e.SpawnDaemon(fmt.Sprintf("worker%d", w), func(p *sim.Proc) { wp.run(p, q) })
+			e.SpawnDaemon(fmt.Sprintf("worker%d", w), func(p *sim.Proc) { wp.run(p) })
 		}
 	}
 	return wp
@@ -126,43 +120,32 @@ func (wp *WorkerPool) Submit(t *Task) {
 	if wp.stopped {
 		panic("iofwd: submit on stopped pool")
 	}
-	q := wp.queues[0]
-	switch wp.cfg.Discipline {
-	case LeastLoaded:
-		best := 0
-		for i, cand := range wp.queues {
-			if cand.Len() < wp.queues[best].Len() {
-				best = i
-			}
-		}
-		q = wp.queues[best]
-	case Sharded:
-		// Home the task by descriptor FD: every operation of one descriptor
-		// lands on one shard, which (with the executing guard) keeps its
-		// operations ordered even under stealing.
-		q = wp.queues[t.Desc.FD%len(wp.queues)]
-	}
-	q.TryPut(t)
-	if wp.cfg.Discipline == Sharded {
-		wp.wakeOneIdle()
-	}
-}
-
-// wakeOneIdle pokes the longest-parked sharded worker, if any.
-func (wp *WorkerPool) wakeOneIdle() {
-	if len(wp.idle) == 0 {
+	if wp.queue != nil {
+		wp.queue.TryPut(t)
 		return
 	}
-	p := wp.idle[0]
-	wp.idle = wp.idle[1:]
-	wp.eng.Ready(p)
+	h := policy.Home(uint64(t.Desc.FD), len(wp.shards))
+	wp.shards[h] = append(wp.shards[h], t)
+	wp.wakeIdle(1)
+}
+
+// wakeIdle readies the n longest-parked sharded workers.
+func (wp *WorkerPool) wakeIdle(n int) {
+	n = min(n, len(wp.idle))
+	for _, p := range wp.idle[:n] {
+		wp.eng.Ready(p)
+	}
+	wp.idle = wp.idle[n:]
 }
 
 // QueueDepth returns the total number of queued, unexecuted tasks.
 func (wp *WorkerPool) QueueDepth() int {
+	if wp.queue != nil {
+		return wp.queue.Len()
+	}
 	n := 0
-	for _, q := range wp.queues {
-		n += q.Len()
+	for _, q := range wp.shards {
+		n += len(q)
 	}
 	return n
 }
@@ -173,34 +156,24 @@ func (wp *WorkerPool) Executed() uint64 { return wp.executed }
 // Batches returns the number of worker wakeups, for measuring multiplexing.
 func (wp *WorkerPool) Batches() uint64 { return wp.batches }
 
-// Steals returns the number of half-batches idle workers stole from sibling
+// Steals returns the number of batches idle workers stole from sibling
 // shards (Sharded discipline only).
 func (wp *WorkerPool) Steals() uint64 { return wp.steals }
 
-// Shutdown stops the workers by poisoning the queues. Pending tasks ahead
-// of the poison still execute.
+// Shutdown stops the workers once every task already queued has executed:
+// SharedFIFO queues one poison per worker behind them, and Sharded workers
+// drain every shard (stealing whole queues) before they exit.
 func (wp *WorkerPool) Shutdown() {
 	if wp.stopped {
 		return
 	}
 	wp.stopped = true
-	switch wp.cfg.Discipline {
-	case LeastLoaded:
-		for _, q := range wp.queues {
-			q.TryPut(nil)
-		}
-	case Sharded:
-		for _, q := range wp.queues {
-			q.TryPut(nil)
-		}
-		for _, p := range wp.idle {
-			wp.eng.Ready(p)
-		}
-		wp.idle = nil
-	default:
-		for w := 0; w < wp.cfg.Workers; w++ {
-			wp.queues[0].TryPut(nil)
-		}
+	if wp.queue == nil {
+		wp.wakeIdle(len(wp.idle))
+		return
+	}
+	for w := 0; w < wp.cfg.Workers; w++ {
+		wp.queue.TryPut(nil)
 	}
 }
 
@@ -209,9 +182,9 @@ func (wp *WorkerPool) Shutdown() {
 // I/O requests and executes them in an event loop". Serial execution within
 // a worker is deliberate: it is what bounds the number of concurrently
 // I/O-executing threads to the pool size, the core of the scheduling win.
-func (wp *WorkerPool) run(p *sim.Proc, q *sim.Queue[*Task]) {
+func (wp *WorkerPool) run(p *sim.Proc) {
 	for {
-		batch := q.GetBatch(p, wp.cfg.Batch)
+		batch := wp.queue.GetBatch(p, wp.cfg.Batch)
 		wp.batches++
 		for _, t := range batch {
 			if t == nil {
@@ -222,23 +195,24 @@ func (wp *WorkerPool) run(p *sim.Proc, q *sim.Queue[*Task]) {
 	}
 }
 
-// runSharded is the Sharded-discipline worker loop: drain the worker's own
-// shard, steal half a batch from the busiest sibling when it is empty, and
-// park on the pool's idle list when there is nothing runnable anywhere. The
-// executing guard in takeRunnable keeps one descriptor's operations from
-// ever running concurrently, so stealing cannot reorder them.
+// runSharded is the Sharded-discipline worker loop, core's scheduler on the
+// sim clock: take a batch from the worker's own shard, else steal from the
+// deepest sibling, else park on the pool's idle list until a Submit (or,
+// after Shutdown, a finishing batch) readies it.
 func (wp *WorkerPool) runSharded(p *sim.Proc, id int) {
-	own := wp.queues[id]
 	for {
-		batch := wp.takeRunnable(own, wp.cfg.Batch)
+		batch := wp.take(id, wp.cfg.Batch)
 		if len(batch) == 0 {
-			if v, ok := own.Peek(); ok && v == nil && own.Len() == 1 {
-				own.TryGet() // lone poison: shard drained, shut down
-				return
+			if v := policy.Victim(wp.shards, id, queueLen); v >= 0 {
+				if batch = wp.take(v, policy.StealCount(len(wp.shards[v]), wp.cfg.Batch, wp.stopped)); len(batch) > 0 {
+					wp.steals++
+				}
 			}
-			batch = wp.stealSharded(id)
 		}
 		if len(batch) == 0 {
+			if wp.stopped && wp.QueueDepth() == 0 {
+				return
+			}
 			wp.idle = append(wp.idle, p)
 			p.Suspend()
 			continue
@@ -246,73 +220,26 @@ func (wp *WorkerPool) runSharded(p *sim.Proc, id int) {
 		wp.batches++
 		for _, t := range batch {
 			wp.exec(p, t)
-			wp.executing[t.Desc.FD]--
-			if wp.executing[t.Desc.FD] == 0 {
-				delete(wp.executing, t.Desc.FD)
-			}
 		}
+		policy.Finish(batch, taskFD, wp.executing)
 		if wp.stopped {
-			// A finished batch may have unblocked nothing but lone poisons;
-			// parked siblings must re-check so they can exit.
-			for _, ip := range wp.idle {
-				wp.eng.Ready(ip)
-			}
-			wp.idle = nil
+			// Tasks this batch blocked may be all that is left; parked
+			// siblings must rescan so they can drain them or exit.
+			wp.wakeIdle(len(wp.idle))
 		}
 	}
 }
 
-// takeRunnable removes up to max runnable tasks from q: a task is runnable
-// when no other worker is executing an operation of its descriptor, or when
-// this batch already holds one (the batch executes serially, so order is
-// preserved). Taken tasks are marked executing. Poison (nil) stays queued.
-func (wp *WorkerPool) takeRunnable(q *sim.Queue[*Task], max int) []*Task {
-	held := make(map[int]bool)
-	batch := q.TakeFunc(max, func(t *Task) bool {
-		if t == nil {
-			return false
-		}
-		if wp.executing[t.Desc.FD] == 0 || held[t.Desc.FD] {
-			held[t.Desc.FD] = true
-			return true
-		}
-		return false
-	})
-	for _, t := range batch {
-		wp.executing[t.Desc.FD]++
-	}
+// take removes up to limit runnable tasks from shard i (policy.Take).
+func (wp *WorkerPool) take(i, limit int) []*Task {
+	var batch []*Task
+	wp.shards[i], batch = policy.Take(wp.shards[i], nil, limit, taskFD, wp.executing)
 	return batch
 }
 
-// stealSharded takes half the runnable backlog (capped at Batch) from the
-// deepest sibling shard, falling back to shallower siblings so a runnable
-// task anywhere guarantees progress.
-func (wp *WorkerPool) stealSharded(id int) []*Task {
-	order := make([]int, 0, len(wp.queues)-1)
-	for i := range wp.queues {
-		if i != id {
-			order = append(order, i)
-		}
-	}
-	// Deepest first; index order breaks ties deterministically.
-	for a := 1; a < len(order); a++ {
-		for b := a; b > 0 && wp.queues[order[b]].Len() > wp.queues[order[b-1]].Len(); b-- {
-			order[b], order[b-1] = order[b-1], order[b]
-		}
-	}
-	for _, vi := range order {
-		victim := wp.queues[vi]
-		want := (victim.Len() + 1) / 2
-		if want > wp.cfg.Batch {
-			want = wp.cfg.Batch
-		}
-		if got := wp.takeRunnable(victim, want); len(got) > 0 {
-			wp.steals++
-			return got
-		}
-	}
-	return nil
-}
+func taskFD(t *Task) int { return t.Desc.FD }
+
+func queueLen(q []*Task) int { return len(q) }
 
 // ConfirmedWriter is implemented by sinks that can report when written data
 // has actually left the node, not merely entered a buffer. Workers prefer

@@ -25,8 +25,8 @@ type Config struct {
 	Workers int
 	// Batch caps tasks dequeued per worker wakeup (I/O multiplexing).
 	Batch int
-	// Discipline selects SharedFIFO (the paper), LeastLoaded (ablation), or
-	// Sharded (the production scheduler's work-stealing model).
+	// Discipline selects SharedFIFO (the paper) or Sharded (the real
+	// server's work-stealing scheduler).
 	Discipline iofwd.Discipline
 }
 

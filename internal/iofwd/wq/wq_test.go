@@ -112,30 +112,6 @@ func TestErrorsPassedBackThroughQueue(t *testing.T) {
 	f.Shutdown()
 }
 
-func TestLeastLoadedDiscipline(t *testing.T) {
-	e := sim.New(1)
-	m, p := machine(e, 4)
-	f := New(e, m.Psets[0], p, Config{Workers: 2, Batch: 2, Discipline: iofwd.LeastLoaded})
-	sink := &iofwd.NullSink{ION: m.Psets[0].ION, P: p}
-	for cn := 0; cn < 4; cn++ {
-		cn := cn
-		e.Spawn(fmt.Sprintf("cn%d", cn), func(proc *sim.Proc) {
-			fd, _ := f.Open(proc, cn, sink)
-			for i := 0; i < 3; i++ {
-				if err := f.Write(proc, cn, fd, 1024); err != nil {
-					t.Errorf("write: %v", err)
-				}
-			}
-			_ = f.Close(proc, cn, fd)
-		})
-	}
-	e.Run(0)
-	f.Shutdown()
-	if f.Pool().Executed() != 12 {
-		t.Fatalf("executed %d", f.Pool().Executed())
-	}
-}
-
 type slowSink struct{ delay sim.Time }
 
 func (s *slowSink) Write(p *sim.Proc, n int64) error { p.Sleep(s.delay); return nil }

@@ -68,47 +68,6 @@ func (q *Queue[T]) GetBatch(p *Proc, max int) []T {
 	return batch
 }
 
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	return q.items[0], true
-}
-
-// TakeFunc removes up to max items for which keep returns true, scanning
-// from the head without blocking. Items that keep rejects stay queued in
-// their original order — the substrate for schedulers that must skip work
-// whose turn has not come (e.g. a descriptor already executing elsewhere).
-func (q *Queue[T]) TakeFunc(max int, keep func(T) bool) []T {
-	if max <= 0 || len(q.items) == 0 {
-		return nil
-	}
-	var taken []T
-	var zero T
-	w := 0
-	for r, v := range q.items {
-		if len(taken) < max && keep(v) {
-			taken = append(taken, v)
-			continue
-		}
-		q.items[w] = v
-		if w != r {
-			q.items[r] = zero
-		}
-		w++
-	}
-	for i := w; i < len(q.items); i++ {
-		q.items[i] = zero
-	}
-	q.items = q.items[:w]
-	for range taken {
-		q.wakeOnePutter()
-	}
-	return taken
-}
-
 // TryGet removes the head item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
 	var zero T

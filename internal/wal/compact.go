@@ -10,7 +10,7 @@ import "sort"
 // disk: a crash before the drain completes still recovers by replaying
 // every record in append order, which lands on the same final bytes.
 //
-// Interval-map invariants (see DESIGN.md §12):
+// Interval-map invariants:
 //
 //  1. covered[name] is the union of the ranges of all records of that name
 //     strictly newer than the one being planned, kept sorted and
