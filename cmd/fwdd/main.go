@@ -25,6 +25,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -49,16 +50,13 @@ func main() {
 	}
 
 	if cfg.Metrics != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", d.srv.Metrics().Handler())
-		mux.Handle("/statz", d.srv.Metrics().StatzHandler())
 		ml, err := net.Listen("tcp", cfg.Metrics)
 		if err != nil {
 			log.Fatalf("fwdd: metrics listener: %v", err)
 		}
 		log.Printf("fwdd: serving /metrics and /statz on %s", ml.Addr())
 		go func() {
-			if err := http.Serve(ml, mux); err != nil {
+			if err := http.Serve(ml, metricsMux(d.srv)); err != nil {
 				log.Printf("fwdd: metrics server: %v", err)
 			}
 		}()
@@ -93,4 +91,20 @@ func main() {
 		log.Printf("fwdd: snapshot: %v", err)
 	}
 	log.Print("fwdd: shutdown complete")
+}
+
+// metricsMux serves the -metrics listener: /metrics (Prometheus text),
+// /statz (JSON) and the net/http/pprof profiles under /debug/pprof/. fwdd
+// never serves http.DefaultServeMux (where importing net/http/pprof also
+// registers them), so the profiles are reachable only where the metrics are.
+func metricsMux(srv *core.Server) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", srv.Metrics().Handler())
+	mux.Handle("/statz", srv.Metrics().StatzHandler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // also serves the named profiles (heap, goroutine, ...)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -28,6 +30,13 @@ import (
 // cap is full. Every public operation takes a context.Context; cancellation
 // and deadlines propagate to admission waits, reconnect parks, retry
 // backoffs, and response waits.
+//
+// A Client starts no goroutine to read. The connection is read only by a
+// caller holding the reader token: it reads replies until its own arrives,
+// delivering the others to their waiting callers on the way, and then
+// passes the token on. At depth 1 a reply therefore wakes the goroutine that
+// sent the request and nothing else, as a compute node's reply returns to the
+// thread blocked in its own system call.
 type Client struct {
 	cfg ClientConfig // normalized
 	met clientMetrics
@@ -52,6 +61,21 @@ type Client struct {
 	ready   chan struct{}        // closed while a conn is installed
 	lastErr error                // terminal failure; nil while usable
 	closed  bool
+
+	// tok is the reader token, a channel of capacity 1 that holds it while
+	// nobody reads. The fields below are its holder's: rd buffers the
+	// generation-rgen connection rnc, stop disarms the holder's context
+	// interrupt (nil when none is armed), cut records that the interrupt
+	// fired, and intr carries the interrupt's completion (see arm).
+	// interrupt is interruptRead bound once, so arming allocates no closure.
+	tok       chan struct{}
+	rd        *bufio.Reader
+	rnc       net.Conn
+	rgen      uint64
+	stop      func() bool
+	cut       bool
+	intr      chan struct{}
+	interrupt func()
 }
 
 // openFile tracks one client-visible descriptor so it can be re-opened on a
@@ -66,19 +90,23 @@ type openFile struct {
 // so idempotent calls can be replayed verbatim on a new connection. sentAt
 // timestamps the first transmission for the smoothed RTT; replayed marks
 // calls re-sent after a failover, whose round trips straddle a reconnect and
-// are not sampled (Karn's algorithm). resp is filled by readLoop and
-// delivered as &resp, so a call allocates no separate response.
+// are not sampled (Karn's algorithm). resp is filled by the reader token's
+// holder and delivered as &resp, so a call allocates no separate response.
+// The holder returns its own call's &resp directly; every other call's it
+// sends on ch.
 //
-// dst is the caller's buffer of a read (nil for every other op): readLoop
-// reads a reply payload that fits straight into it. Ownership rule: once
-// readLoop has removed a call from c.pending (the claim), it owns dst until
-// it sends on ch. Hence a caller whose context ends may return early only
-// if its own delete removed the call; otherwise it waits for the delivery,
-// which comes after the rest of one frame or when the connection fails. A
-// payload read that fails after the claim is a transport failure: readLoop
-// puts the call back into c.pending before connFailed, so it is replayed or
-// failed like any other in-flight op — unless its caller abandoned it, in
-// which case readLoop just releases it.
+// dst is the caller's buffer of a read (nil for every other op): the token
+// holder reads a reply payload that fits straight into it. Ownership rule:
+// once a holder has removed a call from c.pending (the claim), it owns dst
+// until it delivers the call, and it delivers or unclaims every claim
+// before it gives the token back. Hence a caller whose context ends may
+// return early only if its own delete removed the call; otherwise it waits
+// for the delivery, which comes after the rest of one frame or when the
+// connection fails. A payload read that fails after the claim is a
+// transport failure: the holder puts the call back into c.pending before
+// connFailed, so it is replayed or failed like any other in-flight op —
+// unless its caller abandoned it, in which case the holder just releases
+// it.
 type pendingCall struct {
 	ch        chan callResult
 	op        Op
@@ -158,8 +186,14 @@ func (cfg ClientConfig) newClient(nc net.Conn) *Client {
 		pending: make(map[uint64]*pendingCall),
 		files:   make(map[uint64]*openFile),
 		ready:   make(chan struct{}),
+		tok:     make(chan struct{}, 1),
+		rd:      bufio.NewReaderSize(nc, readBufSize),
+		rnc:     nc,
+		intr:    make(chan struct{}, 1),
 	}
 	close(c.ready)
+	c.tok <- struct{}{}
+	c.interrupt = c.interruptRead
 	if n.Window.Max > 0 {
 		c.adm = newAdmission(n.Window.Max)
 		if n.Coalesce.MaxBytes > 0 {
@@ -175,8 +209,6 @@ func (cfg ClientConfig) newClient(nc net.Conn) *Client {
 				"Positional writes merged into an adjacent in-flight frame instead of taking their own wire operation.", &c.met.coalesced)
 		}
 	}
-	//lint:allow goroleak readLoop exits on its conn's read error; Client.Close closes nc, which unblocks and ends it
-	go c.readLoop(nc, c.gen)
 	return c
 }
 
@@ -216,55 +248,176 @@ func (c *Client) Stats() ClientStats {
 	return s
 }
 
-// readLoop demultiplexes responses to their callers by request id. One loop
-// runs per connection generation; a stale loop exits silently. It claims a
-// reply's call before reading the payload, so a read reply lands in the
-// caller's buffer (see pendingCall for the ownership rule); a payload with
-// no buffer to land in — an unknown or late id, a non-read op, a reply
-// longer than the caller's slice — gets a fresh slice.
-func (c *Client) readLoop(nc net.Conn, gen uint64) {
-	var hb [headerSize]byte
-	var h header
-	for {
-		if err := readHeader(nc, &hb, &h); err != nil {
+// lead is the reader token's holder reading replies for pc, which it sent
+// as request id. It reads frames off the installed connection through rd
+// and delivers each to its caller, claiming a reply's call before reading
+// the payload, so a read reply lands in the caller's buffer (see pendingCall
+// for the ownership rule); a payload with no buffer to land in — an unknown
+// or late id, a non-read op, a reply longer than the caller's slice — gets a
+// fresh slice. It returns done with pc's result when pc's reply arrives
+// (after delivering every frame already whole in rd, with no channel hop for
+// its own), when pc was delivered before it took the token, or when ctx ends
+// (see arm). It returns not done when the connection failed, and the gate to
+// wait on when no connection is installed. The caller gives the token back.
+func (c *Client) lead(ctx context.Context, id uint64, pc *pendingCall) (res callResult, done bool, gate <-chan struct{}) {
+	select {
+	case res = <-pc.ch:
+		return res, true, nil
+	default:
+	}
+	c.mu.Lock()
+	gen, nc, ready, failed := c.gen, c.nc, c.ready, c.lastErr != nil
+	c.mu.Unlock()
+	if failed {
+		// failLocked delivered every call in c.pending, and every claim is
+		// settled before its holder gives the token back.
+		return <-pc.ch, true, nil
+	}
+	select {
+	case <-ready:
+	default:
+		return res, false, ready // a reconnect is under way: nothing to read
+	}
+	if c.rgen != gen {
+		c.rd.Reset(nc)
+		c.rnc, c.rgen = nc, gen
+	}
+	c.arm(ctx)
+	defer c.disarm()
+	for own := false; !own || c.frameBuffered(); {
+		h, err := c.nextHeader()
+		if err != nil {
+			if c.interrupted(err) {
+				return c.abandon(ctx, id, pc), true, nil
+			}
 			c.connFailed(gen, err)
-			return
+			return res, false, nil
 		}
 		c.mu.Lock()
-		if c.gen != gen {
-			c.mu.Unlock()
-			return
-		}
-		pc := c.pending[h.reqID]
+		cp := c.pending[h.reqID] // the claim; nil for a late reply
 		delete(c.pending, h.reqID)
 		c.mu.Unlock()
-		var payload []byte
-		if h.length > 0 {
-			if pc != nil && int(h.length) <= len(pc.dst) {
-				payload = pc.dst[:h.length]
-			} else {
-				payload = make([]byte, h.length)
+		if err := c.readPayload(cp, &h); err != nil {
+			switch {
+			case cp == pc && c.cut:
+				pc.deliver(callResult{err: err}) // its caller is leaving: no replay into dst
+			case cp != nil:
+				c.unclaim(h.reqID, cp)
 			}
-			if _, err := io.ReadFull(nc, payload); err != nil {
-				if pc != nil {
-					c.unclaim(h.reqID, pc)
-				}
-				c.connFailed(gen, err)
-				return
+			c.connFailed(gen, err)
+			if c.cut {
+				return c.abandon(ctx, id, pc), true, nil
 			}
+			return res, false, nil
 		}
-		if pc != nil {
-			pc.resp = response{flags: h.flags, errno: Errno(h.pathLen), value: int64(h.offset), payload: payload}
-			pc.deliver(callResult{resp: &pc.resp})
+		switch {
+		case cp == pc && !c.cut:
+			own = true // deliver the frames already whole in rd, then return
+		case cp != nil:
+			cp.deliver(callResult{resp: &cp.resp})
 		}
+		if c.cut {
+			return c.abandon(ctx, id, pc), true, nil
+		}
+	}
+	return callResult{resp: &pc.resp}, true, nil
+}
+
+// nextHeader reads and decodes the next frame header. It peeks before it
+// consumes, so a read the context interrupt cuts short leaves a partial
+// header in rd and the stream stays in sync for the next holder.
+func (c *Client) nextHeader() (h header, err error) {
+	hb, err := c.rd.Peek(headerSize)
+	if err == nil {
+		err = decodeHeader((*[headerSize]byte)(hb), &h)
+		_, _ = c.rd.Discard(headerSize)
+	}
+	return h, err
+}
+
+// readPayload reads h's payload and, for a claimed call cp, fills its
+// response. A context interrupt mid-payload does not stop it: the holder
+// finishes the frame, so the stream stays in sync and dst is released.
+func (c *Client) readPayload(cp *pendingCall, h *header) error {
+	var payload []byte
+	if h.length > 0 {
+		if cp != nil && int(h.length) <= len(cp.dst) {
+			payload = cp.dst[:h.length]
+		} else {
+			payload = make([]byte, h.length)
+		}
+		for got := 0; ; {
+			n, err := io.ReadFull(c.rd, payload[got:])
+			if err == nil {
+				break
+			}
+			if !c.interrupted(err) {
+				return err
+			}
+			got += n
+		}
+	}
+	if cp != nil {
+		cp.resp = response{flags: h.flags, errno: Errno(h.pathLen), value: int64(h.offset), payload: payload}
+	}
+	return nil
+}
+
+// frameBuffered reports whether rd holds a whole frame, which can be read
+// without blocking.
+func (c *Client) frameBuffered() bool {
+	if c.rd.Buffered() < headerSize {
+		return false
+	}
+	hb, _ := c.rd.Peek(headerSize)
+	var h header
+	return decodeHeader((*[headerSize]byte)(hb), &h) == nil && c.rd.Buffered() >= headerSize+int(h.length)
+}
+
+// arm makes the end of the holder's ctx interrupt its blocked read:
+// interruptRead sets a read deadline in the past on rnc. A cancel-free ctx
+// arms nothing.
+func (c *Client) arm(ctx context.Context) {
+	c.cut = false
+	if ctx.Done() != nil {
+		c.stop = context.AfterFunc(ctx, c.interrupt)
 	}
 }
 
-// unclaim hands a call back after its payload read failed, ending readLoop's
-// ownership of dst: into c.pending for connFailed to replay or fail, or
-// straight to its caller if the caller abandoned it or the client has
-// failed. Only readLoop calls connFailed for its own generation, so the
-// generation cannot have moved on since the claim.
+// interruptRead runs on its own goroutine when the holder's ctx ends.
+func (c *Client) interruptRead() {
+	_ = c.rnc.SetReadDeadline(time.Unix(1, 0))
+	c.intr <- struct{}{}
+}
+
+// disarm stops the interrupt. One that has already run has set rnc's
+// deadline: disarm waits for it to finish and clears the deadline, so no
+// interrupt outlives its holder.
+func (c *Client) disarm() {
+	if c.stop != nil && !c.stop() {
+		<-c.intr
+		_ = c.rnc.SetReadDeadline(time.Time{})
+	}
+	c.stop = nil
+}
+
+// interrupted reports whether a read failed because the holder's interrupt
+// fired. It disarms the interrupt (clearing the deadline, so a frame cut
+// short can be finished) and records the cut.
+func (c *Client) interrupted(err error) bool {
+	if c.stop == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+		return false
+	}
+	c.disarm()
+	c.cut = true
+	return true
+}
+
+// unclaim hands a call back after its payload read failed, ending the token
+// holder's ownership of dst: into c.pending for connFailed to replay or
+// fail, or straight to its caller if the caller abandoned it or the client
+// has failed. Only the token's holder calls connFailed, so the generation
+// cannot have moved on since the claim.
 func (c *Client) unclaim(id uint64, pc *pendingCall) {
 	c.mu.Lock()
 	err := c.lastErr
@@ -295,7 +448,7 @@ func idempotentOp(op Op) bool {
 // connFailed handles a transport failure observed on generation gen: it
 // either fails everything (no redialer / client closed) or starts a
 // reconnect, failing non-idempotent in-flight ops fast and keeping
-// idempotent ones for replay.
+// idempotent ones for replay. Only the reader token's holder calls it.
 func (c *Client) connFailed(gen uint64, cause error) {
 	c.mu.Lock()
 	if c.gen != gen || c.lastErr != nil {
@@ -399,20 +552,19 @@ func (c *Client) reconnect(cause error, files []*openFile, replay []*pendingCall
 		}
 		c.nc = nc
 		c.gen++
-		gen := c.gen
 		close(c.ready)
 		c.mu.Unlock()
 		c.met.reconnects.Inc()
-		//lint:allow goroleak replacement readLoop exits on its conn's read error; Client.Close closes the live nc, which unblocks and ends it
-		go c.readLoop(nc, gen)
 		// Replay idempotent in-flight ops with their original request ids;
-		// responses route through the new readLoop to the original callers.
+		// their callers, woken by the gate, take the token and read the
+		// replies off the new connection.
 		for i, pc := range replay {
 			c.met.retries.Inc()
 			c.met.replays.Inc()
 			if err := c.send(nc, replayIDs[i], pc); err != nil {
-				// The fresh connection died already; its readLoop will
-				// drive the next failover, which re-collects this pending.
+				// The fresh connection died already; the next token holder
+				// reads the failure and drives the next failover, which
+				// re-collects this pending.
 				break
 			}
 		}
@@ -425,7 +577,8 @@ func (c *Client) reconnect(cause error, files []*openFile, replay []*pendingCall
 }
 
 // reopenFiles performs a synchronous open exchange for every retained
-// descriptor on a candidate connection, before any readLoop owns it.
+// descriptor on a candidate connection, before it is installed, so no token
+// holder reads it yet.
 // Request ids live far above the call namespace to stay unique.
 func reopenFiles(nc net.Conn, files []*openFile) error {
 	id := uint64(1) << 62
@@ -577,31 +730,64 @@ func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, 
 
 	if err := c.send(nc, id, pc); err != nil {
 		// A write failure is a transport failure. Closing nc hands it to
-		// the generation's readLoop, the only caller of connFailed for its
-		// own connection (so no failover can split c.pending while readLoop
-		// holds a claimed call); connFailed then decides this call's outcome
-		// (replay or typed error) like any other in-flight op.
+		// the token holder, the only caller of connFailed (so no failover
+		// can split c.pending while a holder has a claimed call); connFailed
+		// then decides this call's outcome (replay or typed error) like any
+		// other in-flight op.
 		_ = nc.Close()
 	}
-	select {
-	case res := <-pc.ch:
-		// pc.replayed was written under c.mu before the replay was re-sent;
-		// the response delivery on pc.ch orders that write before this read.
-		if c.adm != nil && res.err == nil && res.resp.errno != EAGAIN && !pc.replayed {
-			c.adm.sample(time.Since(pc.sentAt))
-		}
-		return res.resp, res.err
-	case <-ctx.Done():
-		c.mu.Lock()
-		_, mine := c.pending[id]
-		delete(c.pending, id) // a late response is dropped by readLoop
-		pc.abandoned = !mine
-		c.mu.Unlock()
-		if !mine && dst != nil {
-			<-pc.ch // readLoop claimed the reply and owns dst until it delivers
-		}
-		return nil, c.ctxErr(ctx, op, "awaiting a response")
+	res := c.await(ctx, id, pc)
+	// pc.replayed was written under c.mu before the replay was re-sent; the
+	// claim of its reply under c.mu orders that write before this read.
+	if c.adm != nil && res.err == nil && res.resp.errno != EAGAIN && !pc.replayed {
+		c.adm.sample(time.Since(pc.sentAt))
 	}
+	return res.resp, res.err
+}
+
+// await waits for pc's result in one select on its own channel, the reader
+// token and ctx. A caller that takes the token reads replies itself (lead);
+// if the connection failed or is not installed yet, it gives the token back
+// and waits again, on the ready gate if a reconnect is under way.
+func (c *Client) await(ctx context.Context, id uint64, pc *pendingCall) callResult {
+	for {
+		select {
+		case res := <-pc.ch:
+			return res
+		case <-c.tok:
+		case <-ctx.Done():
+			return c.abandon(ctx, id, pc)
+		}
+		res, done, gate := c.lead(ctx, id, pc)
+		c.tok <- struct{}{}
+		if done {
+			return res
+		}
+		if gate != nil {
+			select {
+			case res := <-pc.ch:
+				return res
+			case <-gate:
+			case <-ctx.Done():
+				return c.abandon(ctx, id, pc)
+			}
+		}
+	}
+}
+
+// abandon ends the wait of a call whose ctx ended. If a token holder has
+// claimed its reply, that holder owns dst until it delivers, so a read waits
+// for the delivery: the rest of one frame, or the connection's failure.
+func (c *Client) abandon(ctx context.Context, id uint64, pc *pendingCall) callResult {
+	c.mu.Lock()
+	_, mine := c.pending[id]
+	delete(c.pending, id) // a late reply is dropped by the token holder
+	pc.abandoned = !mine
+	c.mu.Unlock()
+	if !mine && pc.dst != nil {
+		<-pc.ch
+	}
+	return callResult{err: c.ctxErr(ctx, pc.op, "awaiting a response")}
 }
 
 // respErr converts a response's status into a Go error, reconstructing
@@ -651,12 +837,31 @@ func (c *Client) Flush(ctx context.Context) error {
 // Client — a network-failure injection hook for chaos testing (see
 // chaos_test.go). With reconnection enabled the client redials,
 // re-opens its descriptors, and replays idempotent in-flight operations.
+// A token holder reading the connection fails over when its read fails; an
+// idle client has no reader, so DropConnection takes the token and fails
+// over itself, before the next call.
 func (c *Client) DropConnection() {
 	c.mu.Lock()
-	nc := c.nc
+	nc, gen, ready := c.nc, c.gen, c.ready
 	c.mu.Unlock()
-	if nc != nil {
-		_ = nc.Close()
+	_ = nc.Close()
+	select {
+	case <-ready:
+	default:
+		return // a reconnect is already under way
+	}
+	c.failIdle(gen, net.ErrClosed)
+}
+
+// failIdle fails generation gen over if nobody holds the reader token, as
+// the holder would have. Taking the token never blocks, and so neither does
+// giving it back.
+func (c *Client) failIdle(gen uint64, cause error) {
+	select {
+	case <-c.tok:
+		c.connFailed(gen, cause)
+		c.tok <- struct{}{}
+	default:
 	}
 }
 
@@ -780,8 +985,8 @@ func (f *File) ReadAtCtx(ctx context.Context, b []byte, off int64) (int, error) 
 	return landed(b, r.payload), respErr(f.fd, r)
 }
 
-// landed returns how many reply bytes b holds: readLoop read a payload that
-// fits straight into b, so only a fallback payload (longer than b) is
+// landed returns how many reply bytes b holds: the token holder read a
+// payload that fits straight into b, so only a fallback payload (longer than b) is
 // copied, truncated to len(b).
 func landed(b, payload []byte) int {
 	if len(payload) > 0 && len(b) > 0 && &payload[0] == &b[0] {

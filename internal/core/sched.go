@@ -81,6 +81,10 @@ type scheduler struct {
 	// most inlineMax (the worker count) run at once.
 	inline    atomic.Int32
 	inlineMax int32
+
+	// unwaited counts park returns that did not wait, for tests: a worker
+	// that keeps returning unwaited is spinning.
+	unwaited atomic.Int64
 }
 
 // inlineMaxCall is the backend call time below which an idle descriptor's
@@ -269,22 +273,29 @@ func (s *scheduler) next(id, max int, out []*task) (*shard, []*task) {
 	}
 }
 
-// park blocks the worker on its own shard's cond until new work arrives
-// there, a producer pokes it to steal, or the scheduler closes. The worker
-// registers as idle first so put's wakeIdle can find it; the poked flag is
-// set under the shard lock, so the nomination is never lost between the
-// worker's last scan and its Wait.
+// park blocks the worker on its own shard's cond until a task there is
+// runnable, a producer pokes it to steal, or the scheduler closes. Queued
+// tasks whose descriptor is executing elsewhere do not count: put signals
+// the cond for a new task and finish for a batch that unblocks some. The
+// worker registers as idle first so put's wakeIdle can find it; the poked
+// flag is set under the shard lock, so the nomination is never lost between
+// the worker's last scan and its Wait.
 func (s *scheduler) park(id int, own *shard) {
 	s.idleMu.Lock()
 	s.idle = append(s.idle, id)
 	s.idleMu.Unlock()
 	s.idleCount.Add(1)
 	own.mu.Lock()
-	for len(own.items) == 0 && !own.poked && !s.closed.Load() {
+	waited := false
+	for !policy.Runnable(own.items, taskSID, own.executing) && !own.poked && !s.closed.Load() {
 		own.cond.Wait()
+		waited = true
 	}
 	own.poked = false
 	own.mu.Unlock()
+	if !waited {
+		s.unwaited.Add(1)
+	}
 	s.idleCount.Add(-1)
 	s.idleMu.Lock()
 	for i, w := range s.idle {

@@ -302,3 +302,43 @@ func TestDefaultShards(t *testing.T) {
 		t.Fatalf("defaultShards(huge) = %d", big)
 	}
 }
+
+// TestParkWaitsWhileShardBlocked: a thief holds the stolen prefix of a
+// descriptor's tasks, so the owner's shard holds only tasks blocked behind
+// it. The owner must wait for the thief's finish, not spin take → steal →
+// park until it comes.
+func TestParkWaitsWhileShardBlocked(t *testing.T) {
+	s := newScheduler(2, 2)
+	d := newDescriptor(3, "blocked", nil)
+	for s.homeShard(d) != s.shards[0] {
+		d = newDescriptor(3, "blocked", nil)
+	}
+	for i := 1; i <= 6; i++ {
+		if err := s.put(&task{d: d, op: OpWrite, opNum: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Worker 1 steals half of shard 0: d's first three tasks.
+	victim, stolen := s.steal(1, 8, false, nil)
+	if victim != s.shards[0] || len(stolen) != 3 {
+		t.Fatalf("steal took %d tasks, want d's first 3 from shard 0", len(stolen))
+	}
+	got := make(chan []*task, 1)
+	go func() {
+		_, batch := s.next(0, 8, nil)
+		got <- batch
+	}()
+	time.Sleep(10 * time.Millisecond) // worker 1 runs its batch
+	s.finish(victim, stolen)
+	select {
+	case batch := <-got:
+		if len(batch) != 3 || batch[0].opNum != 4 || batch[2].opNum != 6 {
+			t.Fatalf("owner took %d tasks after the thief finished, want opNums 4–6", len(batch))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("owner never woke after the thief finished")
+	}
+	if n := s.unwaited.Load(); n > 5 {
+		t.Fatalf("park returned %d times without waiting while the shard held only blocked tasks", n)
+	}
+}

@@ -1,7 +1,8 @@
 // Package policy holds the forwarding decisions that the real server
 // (internal/core) and the simulator (internal/iofwd) must make identically:
-// BML class rounding, the home-shard hash, the runnable-prefix batch take,
-// the steal victim and count, and the deferred-error rule. It has no clock,
+// BML class rounding, the home-shard hash, the runnable-prefix batch take
+// and the runnable test, the steal victim and count, and the deferred-error
+// rule. It has no clock,
 // no locks and no goroutines; each caller brings its own synchronization and
 // its own time.
 package policy
@@ -49,6 +50,18 @@ func Take[T any, K comparable](queue, out []T, limit int, key func(T) K, executi
 		executing[key(t)]++
 	}
 	return queue[:kept], out
+}
+
+// Runnable reports whether queue holds a task Take would return: one whose
+// descriptor has no task executing. A worker whose queue holds only blocked
+// tasks has nothing to do until a Finish unblocks one.
+func Runnable[T any, K comparable](queue []T, key func(T) K, executing map[K]int) bool {
+	for _, t := range queue {
+		if executing[key(t)] == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Finish uncounts a batch that Take returned, once the batch has run.

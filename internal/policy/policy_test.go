@@ -73,6 +73,10 @@ func TestTake(t *testing.T) {
 			for k, v := range c.executing {
 				exec[k] = v
 			}
+			// Runnable holds exactly when Take, given room, returns a task.
+			if runnable := Runnable(c.queue, opDesc, exec); c.limit > 0 && runnable != (len(c.batch) > 0) {
+				t.Fatalf("Runnable = %v for a batch of %v", runnable, c.batch)
+			}
 			rest, batch := Take(slices.Clone(c.queue), nil, c.limit, opDesc, exec)
 			if !slices.Equal(batch, c.batch) || !slices.Equal(rest, c.rest) {
 				t.Fatalf("batch %v rest %v, want batch %v rest %v", batch, rest, c.batch, c.rest)
@@ -97,7 +101,13 @@ func TestTake(t *testing.T) {
 	if !slices.Equal(stolen, []op{a1, a2}) || !slices.Equal(owned, []op{b1}) || !slices.Equal(queue, []op{a3}) {
 		t.Fatalf("stolen %v, owner took %v, left %v", stolen, owned, queue)
 	}
+	if Runnable(queue, opDesc, exec) {
+		t.Fatal("a3 is runnable while the thief holds a1 and a2")
+	}
 	Finish(stolen, opDesc, exec)
+	if !Runnable(queue, opDesc, exec) {
+		t.Fatal("a3 is not runnable after the thief finished")
+	}
 	if queue, owned = Take(queue, nil, 8, opDesc, exec); !slices.Equal(owned, []op{a3}) || len(queue) != 0 {
 		t.Fatalf("after the thief finished the owner took %v, left %v", owned, queue)
 	}
