@@ -31,7 +31,6 @@ type ServerConfig struct {
 	Backend      string
 	Root         string
 	SinkMiBps    int64
-	QueueHW      int
 	BMLTimeout   time.Duration
 	Fault        string
 	Backends     string
@@ -59,7 +58,6 @@ func bindFlags(fs *flag.FlagSet) *ServerConfig {
 	fs.StringVar(&c.Root, "root", ".", "root directory for -backend file")
 	fs.Int64Var(&c.SinkMiBps, "sink-rate", 100, "bandwidth in MiB/s for -backend sink")
 	fs.StringVar(&c.Metrics, "metrics", "", "address for the observability HTTP listener serving /metrics (Prometheus text) and /statz (JSON); empty disables")
-	fs.IntVar(&c.QueueHW, "queue-hw", 0, "work-queue high-water mark: shed data ops with EAGAIN past this depth (0 disables)")
 	fs.DurationVar(&c.BMLTimeout, "bml-timeout", 0, "staging-pool admission timeout: past it writes degrade to the synchronous path (0 blocks forever)")
 	fs.StringVar(&c.Fault, "fault", "", "chaos backend spec, e.g. err=0.01,lat=0.05:5ms,stall=0.001:250ms,short=0.005,panic=1000,seed=42; with -backends, ';'-separated member=N: sections scope faults to one member (empty disables)")
 	fs.StringVar(&c.Backends, "backends", "", "comma-separated striped-tier members (each: mem | null | directory path); overrides -backend")
@@ -115,7 +113,7 @@ func (c *ServerConfig) plan() (plan, error) {
 		v    int64
 	}{
 		{"-workers", int64(c.Workers)}, {"-batch", int64(c.Batch)},
-		{"-bml", c.BMLMiB}, {"-sink-rate", c.SinkMiBps}, {"-queue-hw", int64(c.QueueHW)},
+		{"-bml", c.BMLMiB}, {"-sink-rate", c.SinkMiBps},
 		{"-bml-timeout", int64(c.BMLTimeout)}, {"-stripe-size", c.StripeSize},
 		{"-replicas", int64(c.Replicas)}, {"-eject-after", int64(c.EjectAfter)},
 		{"-probe-backoff", c.ProbeBackoff}, {"-wal-segment", c.WALSegment}, {"-wal-max", c.WALMax},
@@ -196,14 +194,13 @@ func (c *ServerConfig) open() (*daemon, error) {
 		}
 	}
 	cfg := core.Config{
-		Mode:           p.mode,
-		Workers:        c.Workers,
-		Batch:          c.Batch,
-		BMLBytes:       c.BMLMiB << 20,
-		Backend:        backend,
-		Metrics:        reg,
-		QueueHighWater: c.QueueHW,
-		BMLTimeout:     c.BMLTimeout,
+		Mode:       p.mode,
+		Workers:    c.Workers,
+		Batch:      c.Batch,
+		BMLBytes:   c.BMLMiB << 20,
+		Backend:    backend,
+		Metrics:    reg,
+		BMLTimeout: c.BMLTimeout,
 	}
 	if d.spill != nil {
 		cfg.Spill = d.spill // a nil *wal.Log would be a non-nil Spiller

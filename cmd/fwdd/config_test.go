@@ -57,8 +57,8 @@ func TestValidate(t *testing.T) {
 		{[]string{"-wal-dir", walDir, "-crash", "before-truncte:1"}, `-crash: fault: unknown crash point "before-truncte"`},
 		{[]string{"-wal-dir", walDir, "-crash", "before-truncate:0"}, "wants point:N with N >= 1"},
 	}
-	for _, f := range []string{"-workers", "-batch", "-bml", "-sink-rate", "-queue-hw",
-		"-stripe-size", "-replicas", "-eject-after", "-probe-backoff", "-wal-segment", "-wal-max"} {
+	for _, f := range []string{"-workers", "-batch", "-bml", "-sink-rate", "-stripe-size",
+		"-replicas", "-eject-after", "-probe-backoff", "-wal-segment", "-wal-max"} {
 		cases = append(cases, struct {
 			args []string
 			want string

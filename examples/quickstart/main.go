@@ -37,7 +37,7 @@ func main() {
 
 	// The compute-node side: every I/O call ships to the server. The zero
 	// ClientConfig reproduces the plain, non-resilient client; see the
-	// example config on core.ClientConfig for retries, failover, the
+	// example config on core.ClientConfig for deadlines, failover, the
 	// in-flight cap and write coalescing.
 	ctx := context.Background()
 	client, err := core.ClientConfig{}.Dial(ctx, "tcp", l.Addr().String())

@@ -50,7 +50,7 @@ func TestChaosEndToEnd(t *testing.T) {
 		Latency:     500 * time.Microsecond,
 	})
 	srv := core.NewServer(core.Config{
-		Mode: core.ModeAsync, Workers: 4, QueueHighWater: 256,
+		Mode: core.ModeAsync, Workers: 4,
 		BMLTimeout: 2 * time.Second, Backend: fb,
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -68,8 +68,8 @@ func TestChaosEndToEnd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			cl, err := core.ClientConfig{
-				Timeout:    15 * time.Second,
-				MaxRetries: 10, RetryBase: time.Millisecond, RetryMax: 20 * time.Millisecond,
+				Timeout:   15 * time.Second,
+				RetryBase: time.Millisecond, RetryMax: 20 * time.Millisecond,
 				ReconnectAttempts: 8,
 				Seed:              int64(c) + 1,
 			}.Dial(context.Background(), "tcp", l.Addr().String())

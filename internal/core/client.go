@@ -21,15 +21,14 @@ import (
 // connection.
 //
 // A configured Client (see ClientConfig) is fault-tolerant: Timeout bounds
-// every operation, MaxRetries retries operations the server shed with
-// EAGAIN, ReconnectAttempts re-establishes a failed transport with
+// every operation, ReconnectAttempts re-establishes a failed transport with
 // exponential backoff plus jitter (re-opening descriptors and replaying
 // idempotent in-flight operations; non-idempotent ones fail fast with
 // ErrConnectionLost), Window caps the operations in flight, and Coalesce
 // merges adjacent positional writes into single wire operations while the
 // cap is full. Every public operation takes a context.Context; cancellation
-// and deadlines propagate to admission waits, reconnect parks, retry
-// backoffs, and response waits.
+// and deadlines propagate to admission waits, reconnect parks and response
+// waits.
 //
 // A Client starts no goroutine to read. The connection is read only by a
 // caller holding the reader token: it reads replies until its own arrives,
@@ -150,7 +149,6 @@ type response struct {
 // clientMetrics are the client-side counters; they are always counted and
 // additionally exported when ClientConfig.Metrics supplies a registry.
 type clientMetrics struct {
-	retries    telemetry.Counter
 	timeouts   telemetry.Counter
 	reconnects telemetry.Counter
 	replays    telemetry.Counter
@@ -159,8 +157,6 @@ type clientMetrics struct {
 }
 
 func (m *clientMetrics) register(reg *telemetry.Registry) {
-	reg.MustRegister("iofwd_retries_total",
-		"Operations retried by the client (EAGAIN backoff retries and post-reconnect replays).", &m.retries)
 	reg.MustRegister("iofwd_timeouts_total",
 		"Operations abandoned because the per-op deadline expired.", &m.timeouts)
 	reg.MustRegister("iofwd_reconnects_total",
@@ -216,6 +212,8 @@ func (cfg ClientConfig) newClient(nc net.Conn) *Client {
 // and admission state. The admission fields (Cwnd, SRTT, Inflight) are zero
 // when Window.Max is 0.
 type ClientStats struct {
+	// Retries counts operations the client reissued. The only reissue is a
+	// replay after a reconnect, so it equals Replays.
 	Retries    uint64
 	Timeouts   uint64
 	Reconnects uint64
@@ -233,7 +231,7 @@ type ClientStats struct {
 // Stats returns a snapshot of the client's counters and admission state.
 func (c *Client) Stats() ClientStats {
 	s := ClientStats{
-		Retries:         c.met.retries.Value(),
+		Retries:         c.met.replays.Value(),
 		Timeouts:        c.met.timeouts.Value(),
 		Reconnects:      c.met.reconnects.Value(),
 		Replays:         c.met.replays.Value(),
@@ -552,14 +550,15 @@ func (c *Client) reconnect(cause error, files []*openFile, replay []*pendingCall
 		}
 		c.nc = nc
 		c.gen++
+		// Count the reconnect before the gate opens, so a parked call that
+		// finishes on the new connection already sees it in Stats.
+		c.met.reconnects.Inc()
 		close(c.ready)
 		c.mu.Unlock()
-		c.met.reconnects.Inc()
 		// Replay idempotent in-flight ops with their original request ids;
 		// their callers, woken by the gate, take the token and read the
 		// replies off the new connection.
 		for i, pc := range replay {
-			c.met.retries.Inc()
 			c.met.replays.Inc()
 			if err := c.send(nc, replayIDs[i], pc); err != nil {
 				// The fresh connection died already; the next token holder
@@ -636,54 +635,19 @@ func (c *Client) ctxErr(ctx context.Context, op Op, what string) error {
 	return fmt.Errorf("core: %s canceled while %s: %w", op, what, ctx.Err())
 }
 
-// call sends one request and waits for its response. The context governs
-// every wait on the way — cap admission, the reconnect gate, the
-// response, and retry backoff — and ClientConfig.Timeout is layered on as a
-// derived deadline, so the op fails when either the caller's context or the
-// per-op budget expires. EAGAIN (shed) responses are retried with backoff
-// for safely retryable data operations. dst is a read's destination (nil
-// for every other op): a reply payload that fits is read straight into it.
+// call performs one request/response exchange: in-flight cap admission,
+// the reconnect-gate wait, registration, send, and the response wait, all
+// under ctx, with ClientConfig.Timeout layered on as a derived deadline, so
+// the op fails when either the caller's context or the per-op budget
+// expires. A clean response that was not replayed across a reconnect is an
+// RTT sample. dst is a read's destination (nil for every other op): a reply
+// payload that fits is read straight into it.
 func (c *Client) call(ctx context.Context, op Op, fd uint64, offset uint64, length uint32, path string, payload, dst []byte) (*response, error) {
 	if c.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
 		defer cancel()
 	}
-	for attempt := 0; ; attempt++ {
-		r, err := c.callOnce(ctx, op, fd, offset, length, path, payload, dst)
-		if err != nil {
-			return nil, err
-		}
-		if r.errno != EAGAIN || attempt >= c.cfg.MaxRetries || !retryableErrno(op) {
-			return r, nil
-		}
-		c.met.retries.Inc()
-		wait := time.NewTimer(c.backoff(attempt+1, c.cfg.RetryBase, c.cfg.RetryMax))
-		select {
-		case <-wait.C:
-		case <-ctx.Done():
-			wait.Stop()
-			return nil, c.ctxErr(ctx, op, "retrying a shed operation")
-		}
-	}
-}
-
-// retryableErrno reports whether an EAGAIN reply to op is safe to reissue:
-// the server sheds before reserving a cursor or staging anything, so every
-// data operation qualifies.
-func retryableErrno(op Op) bool {
-	switch op {
-	case OpWrite, OpPwrite, OpRead, OpPread, OpStat:
-		return true
-	}
-	return false
-}
-
-// callOnce performs a single request/response exchange: in-flight cap
-// admission, the reconnect-gate wait, registration, send, and the response
-// wait, all under ctx. A clean response that was not replayed across a
-// reconnect is an RTT sample.
-func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, length uint32, path string, payload, dst []byte) (*response, error) {
 	if c.adm != nil {
 		if err := c.adm.acquire(ctx); err != nil {
 			if ctx.Err() != nil {
@@ -739,7 +703,7 @@ func (c *Client) callOnce(ctx context.Context, op Op, fd uint64, offset uint64, 
 	res := c.await(ctx, id, pc)
 	// pc.replayed was written under c.mu before the replay was re-sent; the
 	// claim of its reply under c.mu orders that write before this read.
-	if c.adm != nil && res.err == nil && res.resp.errno != EAGAIN && !pc.replayed {
+	if c.adm != nil && res.err == nil && !pc.replayed {
 		c.adm.sample(time.Since(pc.sentAt))
 	}
 	return res.resp, res.err

@@ -12,27 +12,23 @@ import (
 // ClientConfig is the validated, context-aware configuration for a Client,
 // and the only way to construct one: build a config, Validate it (or let
 // Dial/Client do it), and every tunable is a named field. The zero value is
-// the plain client: no deadline, no retries, no failover, no in-flight cap.
+// the plain client: no deadline, no failover, no in-flight cap.
 //
 //	cfg := core.ClientConfig{
 //		Timeout:           2 * time.Second,
-//		MaxRetries:        8,
 //		ReconnectAttempts: 8,
 //		Window:            core.WindowConfig{Max: 64},
 //		Coalesce:          core.CoalesceConfig{MaxBytes: 1 << 20},
 //	}
 //	c, err := cfg.Dial(ctx, "tcp", addr)
 type ClientConfig struct {
-	// Timeout bounds every operation end to end, including EAGAIN retries
-	// and reconnect waits. It composes with the caller's context: the op
+	// Timeout bounds every operation end to end, including reconnect
+	// waits. It composes with the caller's context: the op
 	// fails when either expires. 0 disables the per-op deadline.
 	Timeout time.Duration
 
-	// MaxRetries is how many times an EAGAIN-shed retryable operation is
-	// reissued before the shed is surfaced to the caller.
-	MaxRetries int
 	// RetryBase and RetryMax shape the jittered exponential backoff between
-	// EAGAIN retries and reconnect attempts (base doubling per attempt,
+	// reconnect attempts, and nothing else (base doubling per attempt,
 	// capped at RetryMax). Zero values take the defaults (5ms / 250ms).
 	RetryBase time.Duration
 	RetryMax  time.Duration
@@ -46,12 +42,12 @@ type ClientConfig struct {
 	// an established conn) needs an explicit Redial for failover to work.
 	Redial func() (net.Conn, error)
 
-	// Seed fixes the jitter RNG so chaos runs replay the same backoff
-	// schedule. 0 takes the default seed 1.
+	// Seed fixes the jitter RNG of the reconnect backoff, so chaos runs
+	// replay the same schedule. 0 takes the default seed 1.
 	Seed int64
 
 	// Metrics, when non-nil, registers the client's counters
-	// (iofwd_retries_total, ...) on reg, plus iofwd_coalesced_writes_total
+	// (iofwd_reconnects_total, ...) on reg, plus iofwd_coalesced_writes_total
 	// when Window.Max is set.
 	Metrics *telemetry.Registry
 
@@ -69,8 +65,7 @@ type ClientConfig struct {
 // slot before it is sent and returns it when its response or deadline
 // arrives; a caller that finds every slot taken waits, first come first
 // served. The cap is fixed: the server's back-pressure (a reply that waits
-// for the backend, or an EAGAIN shed answered by MaxRetries/RetryBase
-// backoff) does the admission control.
+// for the backend or for staging memory) does the admission control.
 type WindowConfig struct {
 	// Max is the number of operations that may be in flight at once.
 	// 0 disables the cap.
@@ -111,9 +106,6 @@ const (
 func (cfg *ClientConfig) Validate() error {
 	if cfg.Timeout < 0 {
 		return fmt.Errorf("%w: ClientConfig.Timeout %v is negative", EINVAL, cfg.Timeout)
-	}
-	if cfg.MaxRetries < 0 {
-		return fmt.Errorf("%w: ClientConfig.MaxRetries %d is negative", EINVAL, cfg.MaxRetries)
 	}
 	if cfg.RetryBase < 0 || cfg.RetryMax < 0 {
 		return fmt.Errorf("%w: ClientConfig retry backoff (%v, %v) is negative", EINVAL, cfg.RetryBase, cfg.RetryMax)

@@ -15,7 +15,7 @@ import (
 // per-descriptor buffer. The first parked writer becomes the buffer's owner;
 // a background sender lingers briefly for neighbors, seals the buffer, sends
 // it as a single Pwrite through the ordinary call path (one slot, one RTT,
-// retry/replay like any idempotent op), and splits the acknowledgement back
+// replayed like any idempotent op), and splits the acknowledgement back
 // onto the constituent writes in order.
 //
 // The cap must be smaller than the number of writers for it to fill: each

@@ -16,10 +16,9 @@ import (
 // cannot overtake a parked caller.
 //
 // The cap does no congestion control of its own. The server's
-// back-pressure is the control (a reply that waits for the backend, or an
-// EAGAIN shed past QueueHighWater, answered by the retry backoff); the cap
-// bounds what one client can have queued there, and a full cap is the
-// coalescer's signal that writes are already waiting.
+// back-pressure is the control (a reply that waits for the backend or for
+// staging memory); the cap bounds what one client can have queued there,
+// and a full cap is the coalescer's signal that writes are already waiting.
 type admission struct {
 	slots chan struct{}
 	done  chan struct{} // closed by close, after err is set

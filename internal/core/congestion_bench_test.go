@@ -18,7 +18,7 @@ type admissionArm struct {
 }
 
 // admissionArms are the client admission policies under test: no cap
-// (unbounded admission, EAGAIN answered by jittered backoff), and an
+// (unbounded admission), and an
 // in-flight cap of 2 or 8, each with write coalescing off and on. With 8
 // writers per client, cap 2 fills and lets coalescing merge; cap 8 never
 // fills.
@@ -39,10 +39,10 @@ var admissionArms = []admissionArm{
 // bytes that reached the backend. Every op must ack; a lost ack fails the
 // benchmark.
 //
-// Two server modes bound the design space: ModeAsync with QueueHighWater 16
-// acks a staged write once it is queued and sheds with EAGAIN past 16
-// queued tasks; ModeWorkQueue acks after the backend call and never sheds,
-// so its back-pressure is the blocking reply itself.
+// Two server modes bound the design space: ModeAsync acks a staged write
+// once it is queued, so its back-pressure is staging-pool admission;
+// ModeWorkQueue acks after the backend call, so its back-pressure is the
+// blocking reply itself.
 //
 // Run with a fixed op count for comparable results:
 //
@@ -52,7 +52,7 @@ func BenchmarkClientAdmission(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"async_hw16", Config{Mode: ModeAsync, QueueHighWater: 16}},
+		{"async", Config{Mode: ModeAsync}},
 		{"workqueue", Config{Mode: ModeWorkQueue}},
 	}
 	for _, m := range modes {
@@ -88,7 +88,7 @@ func benchAdmission(b *testing.B, scfg Config, arm admissionArm) {
 	}
 	cls := make([]*cli, clients)
 	for i := range cls {
-		cfg := ClientConfig{MaxRetries: 1024, Seed: int64(i + 1), Window: arm.window}
+		cfg := ClientConfig{Window: arm.window}
 		if arm.coalesce {
 			cfg.Coalesce = CoalesceConfig{MaxBytes: 64 << 10, MaxOps: 16, Linger: 2 * time.Millisecond}
 		}
@@ -135,12 +135,9 @@ func benchAdmission(b *testing.B, scfg Config, arm admissionArm) {
 	if lost.Load() != 0 {
 		b.Fatalf("%d lost acks", lost.Load())
 	}
-	var sheds, merged uint64
+	var merged uint64
 	for _, cl := range cls {
-		s := cl.c.Stats()
-		sheds += s.Retries // no reconnects here: every retry answers a shed
-		merged += s.CoalescedWrites
+		merged += cl.c.Stats().CoalescedWrites
 	}
-	b.ReportMetric(float64(sheds)/float64(b.N), "sheds/op")
 	b.ReportMetric(float64(merged)/float64(b.N), "merged/op")
 }

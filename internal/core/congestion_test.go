@@ -136,7 +136,7 @@ func TestCongestionSlotTransfer(t *testing.T) {
 func TestClientConfigValidate(t *testing.T) {
 	good := []ClientConfig{
 		{},
-		{Timeout: time.Second, MaxRetries: 8, Window: WindowConfig{Max: 64},
+		{Timeout: time.Second, Window: WindowConfig{Max: 64},
 			Coalesce: CoalesceConfig{MaxBytes: 1 << 20, MaxOps: 4, Linger: time.Millisecond}},
 	}
 	for i, cfg := range good {
@@ -146,7 +146,6 @@ func TestClientConfigValidate(t *testing.T) {
 	}
 	bad := map[string]ClientConfig{
 		"negative timeout":       {Timeout: -time.Second},
-		"negative retries":       {MaxRetries: -1},
 		"inverted backoff":       {RetryBase: time.Second, RetryMax: time.Millisecond},
 		"negative cap":           {Window: WindowConfig{Max: -1}},
 		"coalesce sans window":   {Coalesce: CoalesceConfig{MaxBytes: 4096}},
@@ -399,7 +398,6 @@ func TestCoalescedWritesSurviveConnectionDrops(t *testing.T) {
 	ctx := context.Background()
 	cfg := ClientConfig{
 		Timeout:           10 * time.Second,
-		MaxRetries:        64,
 		RetryBase:         time.Millisecond,
 		RetryMax:          10 * time.Millisecond,
 		ReconnectAttempts: 64,
@@ -461,8 +459,8 @@ func TestCoalescedWritesSurviveConnectionDrops(t *testing.T) {
 	})
 
 	st := c.Stats()
-	t.Logf("reconnects=%d replays=%d coalesced=%d retries=%d cwnd=%.1f",
-		st.Reconnects, st.Replays, st.CoalescedWrites, st.Retries, st.Cwnd)
+	t.Logf("reconnects=%d replays=%d coalesced=%d cwnd=%.1f",
+		st.Reconnects, st.Replays, st.CoalescedWrites, st.Cwnd)
 	if st.Reconnects == 0 {
 		t.Errorf("%d drops but the client never reconnected", chunks/dropEvery-1)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -22,9 +23,10 @@ var descSeq atomic.Uint64
 // scheduler shard (hashed by sid) and the scheduler never runs two of them
 // concurrently, so staged operations execute in opNum order. Offsets are
 // still reserved at staging time, and the deferred-error bookkeeping in
-// complete() remains exactly-once regardless of execution interleaving — the
-// contract makes execution order deterministic, it is not load-bearing for
-// data placement.
+// complete() remains exactly-once regardless of execution interleaving. Where
+// two writes overlap, the order is what leaves the later one's bytes in
+// place, so a degraded write, which runs on the handler outside the shard,
+// first waits for the in-flight ops it may overlap (drainOverlap).
 //
 // The spill tier is a second executor outside the shard, so it carries its
 // own serialization: while any of the descriptor's spilled records are
@@ -50,6 +52,9 @@ type descriptor struct {
 	cursor    int64
 	opCounter uint64
 	inFlight  int
+	// lo and hi bound every byte the in-flight ops write; they are reset
+	// by the first start after the descriptor goes idle.
+	lo, hi    int64
 	spillLive int // spilled records whose durable WAL copy is still live
 	completed uint64
 	deferred  policy.Deferred
@@ -85,13 +90,18 @@ func (d *descriptor) at() uint64 {
 	return op
 }
 
-// start records a staged operation beginning. The gauge moves before the
-// operation is visible anywhere else.
-func (d *descriptor) start() {
+// start records a staged operation that writes [off, end) beginning. The
+// gauge moves before the operation is visible anywhere else.
+func (d *descriptor) start(off, end int64) {
 	if d.met != nil {
 		d.met.inflightStaged.Inc()
 	}
 	d.mu.Lock()
+	if d.inFlight == 0 {
+		d.lo, d.hi = off, end
+	} else {
+		d.lo, d.hi = min(d.lo, off), max(d.hi, end)
+	}
 	d.inFlight++
 	d.mu.Unlock()
 }
@@ -125,9 +135,14 @@ func (d *descriptor) quiescent() bool {
 }
 
 // drain blocks until no staged operations are in flight.
-func (d *descriptor) drain() {
+func (d *descriptor) drain() { d.drainOverlap(math.MinInt64, math.MaxInt64) }
+
+// drainOverlap blocks while an in-flight staged operation may write a byte
+// of [off, end): an op that bypasses the shard must not overtake one it
+// overlaps, but need not wait for the rest.
+func (d *descriptor) drainOverlap(off, end int64) {
 	d.mu.Lock()
-	for d.inFlight > 0 {
+	for d.inFlight > 0 && off < d.hi && d.lo < end {
 		d.idle.Wait()
 	}
 	d.mu.Unlock()

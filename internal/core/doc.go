@@ -38,8 +38,9 @@
 //
 // Reads reply after the backend in every mode, with their data in a leased
 // BML frame the handler returns. A write that times out on BML admission
-// (Config.BMLTimeout) runs on the handler and replies with FlagDegraded;
-// under ModeAsync a spill tier (Config.Spill) can absorb it instead.
+// (Config.BMLTimeout) runs on the handler, after the staged writes it
+// overlaps, and replies with FlagDegraded; under ModeAsync a spill tier
+// (Config.Spill) can absorb it instead.
 // Opens, closes, and stats always run on the handler.
 //
 // Backends supply the terminal I/O: OS files (FileBackend), memory

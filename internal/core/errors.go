@@ -18,10 +18,6 @@ const (
 	ENOSPC
 	ECLOSED
 	EEXIST
-	// EAGAIN is the overload-shedding code: the server refused the
-	// operation before taking any side effect (no cursor movement, no
-	// staging), so the client may safely retry it after a backoff.
-	EAGAIN
 )
 
 func (e Errno) Error() string {
@@ -42,8 +38,6 @@ func (e Errno) Error() string {
 		return "connection closed"
 	case EEXIST:
 		return "already exists"
-	case EAGAIN:
-		return "server overloaded, try again"
 	}
 	return fmt.Sprintf("errno(%d)", uint16(e))
 }

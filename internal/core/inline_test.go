@@ -303,7 +303,7 @@ func TestInlineWhenIdle(t *testing.T) {
 			t.Fatal("claimed inline beside a non-empty home shard")
 		}
 		home.depth.Store(0)
-		d.start()
+		d.start(0, 0)
 		if s.sched.claimInline(d) {
 			t.Fatal("a descriptor with a staged op in flight claimed inline")
 		}

@@ -79,7 +79,6 @@ type serverMetrics struct {
 	deferredErrors *telemetry.Counter
 
 	// Failure paths (the fault-tolerance layer).
-	shed         *telemetry.Counter
 	bmlDegraded  *telemetry.Counter
 	workerPanics *telemetry.Counter
 	connPanics   *telemetry.Counter
@@ -152,8 +151,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.deferredErrors = reg.Counter("iofwd_deferred_errors_total",
 		"Staged operations that failed after acknowledgement (reported on a later op).")
 
-	m.shed = reg.Counter("iofwd_shed_total",
-		"Data operations refused with EAGAIN because the work queue exceeded its high-water mark (overload shedding).")
 	m.bmlDegraded = reg.Counter("iofwd_bml_degraded_total",
 		"Writes that fell back to the synchronous path with an unpooled buffer after staging-pool admission timed out.")
 	m.workerPanics = reg.Counter("iofwd_panics_total",
@@ -196,7 +193,7 @@ func (m *serverMetrics) wire(s *Server) {
 	if s.sched != nil {
 		q := s.sched
 		reg.GaugeFunc("iofwd_queue_depth",
-			"Tasks currently waiting across all scheduler shards (atomic aggregate; the overload-shed reference).",
+			"Tasks currently waiting across all scheduler shards (atomic aggregate).",
 			q.aggDepth.Load)
 		reg.MustRegister("iofwd_queue_peak_depth",
 			"Aggregate scheduler occupancy high-water mark.", &q.peak)

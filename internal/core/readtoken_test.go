@@ -241,10 +241,11 @@ func TestReaderTokenIdleDropFailsOver(t *testing.T) {
 	if n, err := f.Write(make([]byte, 512)); err != nil || n != 512 {
 		t.Fatalf("cursor write after an idle drop: %d, %v", n, err)
 	}
-	// The reconnect counts itself after it opens the gate, so count the
-	// server's connections instead.
-	if n, lost := len(conns), c.Stats().LostOps; n != 2 || lost != 0 {
-		t.Fatalf("%d connections, %d lost ops; want 2 and 0", n, lost)
+	// The reconnect counts itself before it opens the gate, so the write
+	// that waited on the gate already sees it.
+	st := c.Stats()
+	if n := len(conns); n != 2 || st.Reconnects != 1 || st.LostOps != 0 {
+		t.Fatalf("%d connections, %d reconnects, %d lost ops; want 2, 1 and 0", n, st.Reconnects, st.LostOps)
 	}
 }
 

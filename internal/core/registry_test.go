@@ -22,7 +22,7 @@ var literalFamilies = []string{
 	"iofwd_zero_copy_replies_total", "iofwd_bytes_written_total", "iofwd_bytes_read_total",
 	"iofwd_staged_writes_total", "iofwd_connections_total", "iofwd_reply_errors_total",
 	"iofwd_active_connections", "iofwd_open_descriptors", "iofwd_inflight_staged_ops",
-	"iofwd_deferred_errors_total", "iofwd_shed_total", "iofwd_bml_degraded_total",
+	"iofwd_deferred_errors_total", "iofwd_bml_degraded_total",
 	"iofwd_panics_total", "iofwd_queue_rejects_total", "iofwd_bml_spilled_total",
 	"iofwd_bml_spill_rejects_total", "iofwd_bml_used_bytes", "iofwd_bml_capacity_bytes",
 	"iofwd_bml_peak_bytes", "iofwd_bml_allocs_total", "iofwd_bml_fresh_total",
@@ -30,7 +30,7 @@ var literalFamilies = []string{
 	"iofwd_bml_waiters", "iofwd_queue_depth", "iofwd_queue_peak_depth", "iofwd_steals_total",
 	"iofwd_shard_depth",
 	// internal/core: client
-	"iofwd_retries_total", "iofwd_timeouts_total", "iofwd_reconnects_total",
+	"iofwd_timeouts_total", "iofwd_reconnects_total",
 	"iofwd_replays_total", "iofwd_lost_ops_total", "iofwd_coalesced_writes_total",
 	// internal/core/fault
 	"iofwd_fault_injected_total", "iofwd_fault_ops_total",

@@ -65,7 +65,8 @@ type shard struct {
 type scheduler struct {
 	shards []*shard
 	// aggDepth is the aggregate queued-task count, maintained atomically so
-	// the overload-shed check and /statz snapshots never touch a shard lock.
+	// the peak gauge, /statz snapshots and the drain check never touch a
+	// shard lock.
 	aggDepth atomic.Int64
 	closed   atomic.Bool
 	peak     telemetry.MaxGauge
@@ -167,7 +168,7 @@ func (s *scheduler) put(t *task) error {
 // Only d's handler starts ops on d, and it waits out every op it does not
 // stage, so a quiescent d has nothing queued or executing anywhere and the
 // inline op keeps its place in d's FIFO. A backend that is slow from the
-// start never runs inline, so BML admission, spill and shedding see the
+// start never runs inline, so BML admission and spill see the
 // queue they did. One that stalls after fast calls catches a single op
 // inline: its handler, and the connection's later frames, wait out the
 // stall (at most Workers connections at once), and the slow call then
@@ -185,13 +186,6 @@ func (s *scheduler) claimInline(d *descriptor) bool {
 
 // releaseInline returns the token claimInline took.
 func (s *scheduler) releaseInline() { s.inline.Add(-1) }
-
-// depth returns the aggregate queued-task count without taking any lock —
-// the shed check (QueueHighWater) and metric snapshots read it on every
-// data operation.
-func (s *scheduler) depth() int {
-	return int(s.aggDepth.Load())
-}
 
 // close marks the scheduler closed and wakes every worker so they drain the
 // remaining tasks and exit.

@@ -44,7 +44,7 @@ func TestShardOrderingPerDescriptor(t *testing.T) {
 	for i := 1; i <= ops; i++ {
 		buf := srv.bml.Get(8)
 		binary.BigEndian.PutUint64(buf, uint64(i))
-		hot.start()
+		hot.start(0, 0)
 		if err := srv.sched.put(&task{d: hot, op: OpWrite, buf: buf, off: 0, opNum: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -175,32 +175,32 @@ func TestPutDuringCloseReturnsECLOSED(t *testing.T) {
 	}
 }
 
-// TestSchedulerAtomicDepth checks the shed reference: depth() must track
-// puts and dequeues without touching shard locks (it is one atomic load),
+// TestSchedulerAtomicDepth checks the aggregate queue depth: aggDepth must
+// track puts and dequeues without touching shard locks (it is one atomic),
 // and must settle to zero after a drain.
 func TestSchedulerAtomicDepth(t *testing.T) {
 	srv := newServer(Config{Mode: ModeAsync, Workers: 2}, 2)
 	defer srv.Close()
-	if got := srv.sched.depth(); got != 0 {
+	if got := srv.sched.aggDepth.Load(); got != 0 {
 		t.Fatalf("fresh scheduler depth %d", got)
 	}
 	d := newDescriptor(3, "gate", &slowCountHandle{delay: 5 * time.Millisecond, runs: new(atomic.Int64)})
 	for i := 0; i < 16; i++ {
 		buf := srv.bml.Get(8)
-		d.start()
+		d.start(0, 0)
 		if err := srv.sched.put(&task{d: d, op: OpWrite, buf: buf, opNum: uint64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One descriptor executes serially, so most of the backlog is queued.
-	if got := srv.sched.depth(); got == 0 {
+	if got := srv.sched.aggDepth.Load(); got == 0 {
 		t.Fatal("depth 0 with a queued backlog")
 	}
 	d.drain()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.sched.depth() != 0 {
+	for srv.sched.aggDepth.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("depth stuck at %d after drain", srv.sched.depth())
+			t.Fatalf("depth stuck at %d after drain", srv.sched.aggDepth.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

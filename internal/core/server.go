@@ -64,13 +64,6 @@ type Config struct {
 	// registers its instruments on (a fresh one is created otherwise).
 	// Each Server needs its own registry.
 	Metrics *telemetry.Registry
-	// QueueHighWater, when > 0, sheds incoming data operations with EAGAIN
-	// while the scheduler's aggregate queued-task depth (summed over all
-	// shards) is at least this deep, instead of letting a stalled backend
-	// absorb unbounded queued work and block every forwarder. Shedding
-	// happens before any side effect (no cursor movement, no staging), so
-	// EAGAIN is always safe to retry.
-	QueueHighWater int
 	// BMLTimeout, when > 0, bounds the wait for staging-pool admission;
 	// past it a write degrades to the synchronous path with an unpooled
 	// buffer (reply carries FlagDegraded) instead of blocking forever on
@@ -94,8 +87,6 @@ type ServerStats struct {
 	StagedWrites uint64
 	WorkerBatch  uint64
 	Conns        uint64
-	// Shed counts data operations refused with EAGAIN under overload.
-	Shed uint64
 	// Degraded counts writes that bypassed staging after a BML admission
 	// timeout.
 	Degraded uint64
@@ -185,18 +176,10 @@ func (s *Server) Stats() ServerStats {
 		StagedWrites: m.staged.Value(),
 		WorkerBatch:  m.batches.Value(),
 		Conns:        m.conns.Value(),
-		Shed:         m.shed.Value(),
 		Degraded:     m.bmlDegraded.Value(),
 		Spilled:      m.spilled.Value(),
 		WorkerPanics: m.workerPanics.Value(),
 	}
-}
-
-// shouldShed reports whether the scheduler is past its high-water mark. The
-// depth read is a single atomic load, so the per-operation shed check never
-// contends with producers or workers on a shard lock.
-func (s *Server) shouldShed() bool {
-	return s.sched != nil && s.cfg.QueueHighWater > 0 && s.sched.depth() >= s.cfg.QueueHighWater
 }
 
 // Serve accepts connections until the listener fails or the server closes.
@@ -644,14 +627,6 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 			buf = buf[:n]
 		}
 	}
-	// Overload shedding happens before the cursor is reserved or anything
-	// is staged, so a shed write has no side effect and EAGAIN is safely
-	// retryable.
-	if s.shouldShed() {
-		putBuf()
-		m.shed.Inc()
-		return c.reply(h.reqID, 0, EAGAIN, 0)
-	}
 	var off int64
 	var opNum uint64
 	if h.op == OpPwrite {
@@ -685,7 +660,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	// happens at submit, so that holds for writes behind an unresolved ack.
 	if s.cfg.Spill != nil && (!pooled || d.spillPending()) {
 		c.slots <- struct{}{} // parks while maxPipelinedAcks are unanswered
-		d.start()
+		d.start(off, off+n)
 		d.spillStart()
 		reqID, op := h.reqID, opIndex(h.op) // h is reused for the next frame
 		serr := s.cfg.Spill.Submit(d.name, off, buf, func(err error) {
@@ -733,7 +708,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	if pooled && s.cfg.Mode == ModeAsync {
 		flags, errno := deferredFlags(d)
 		inline := s.sched.claimInline(d)
-		d.start()
+		d.start(off, off+n)
 		t := task{d: d, op: OpWrite, buf: buf, off: off, opNum: opNum, enq: recvd}
 		if !inline {
 			q := t // only a queued task outlives this frame
@@ -757,11 +732,14 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 
 	// Every other write runs to completion before its reply. A degraded
 	// (unpooled) write runs on the handler — the synchronous path BMLTimeout
-	// promises — so only pool buffers ever reach a worker.
+	// promises — so only pool buffers ever reach a worker. Running outside
+	// the shard, it first waits out the staged writes it overlaps, which
+	// would otherwise land after it.
 	var flags uint16
 	if !pooled {
 		m.bmlDegraded.Inc()
 		flags = FlagDegraded
+		d.drainOverlap(off, off+n)
 	}
 	_, err, qerr := s.exec(task{d: d, op: OpWrite, buf: buf, off: off, enq: recvd}, !pooled)
 	putBuf()
@@ -796,11 +774,6 @@ func (c *serverConn) handleRead(h *header) error {
 	// pool allocator.
 	if !s.bml.LeaseFits(int(h.length)) {
 		return c.reply(h.reqID, 0, EINVAL, 0)
-	}
-	// Shed before the cursor moves so a refused read has no side effect.
-	if s.shouldShed() {
-		m.shed.Inc()
-		return c.reply(h.reqID, 0, EAGAIN, 0)
 	}
 	var off int64
 	if h.op == OpPread {
