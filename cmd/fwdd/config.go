@@ -58,14 +58,14 @@ func bindFlags(fs *flag.FlagSet) *ServerConfig {
 	fs.StringVar(&c.Root, "root", ".", "root directory for -backend file")
 	fs.Int64Var(&c.SinkMiBps, "sink-rate", 100, "bandwidth in MiB/s for -backend sink")
 	fs.StringVar(&c.Metrics, "metrics", "", "address for the observability HTTP listener serving /metrics (Prometheus text) and /statz (JSON); empty disables")
-	fs.DurationVar(&c.BMLTimeout, "bml-timeout", 0, "staging-pool admission timeout: past it writes degrade to the synchronous path (0 blocks forever)")
+	fs.DurationVar(&c.BMLTimeout, "bml-timeout", 0, "staging-pool admission timeout without -wal-dir: past it writes degrade to the synchronous path (0 blocks forever); with -wal-dir writes never wait for admission, so it has no effect")
 	fs.StringVar(&c.Fault, "fault", "", "chaos backend spec, e.g. err=0.01,lat=0.05:5ms,stall=0.001:250ms,short=0.005,panic=1000,seed=42; with -backends, ';'-separated member=N: sections scope faults to one member (empty disables)")
 	fs.StringVar(&c.Backends, "backends", "", "comma-separated striped-tier members (each: mem | null | directory path); overrides -backend")
 	fs.Int64Var(&c.StripeSize, "stripe-size", 64<<10, "striping unit in bytes for -backends")
 	fs.IntVar(&c.Replicas, "replicas", 2, "replicas per stripe for -backends (capped at the member count)")
 	fs.IntVar(&c.EjectAfter, "eject-after", 0, "consecutive member errors before ejection (0 = stripetier default)")
 	fs.Int64Var(&c.ProbeBackoff, "probe-backoff", 0, "tier ops an ejected member waits before its first half-open probe; doubles per failed probe (0 = stripetier default)")
-	fs.StringVar(&c.WALDir, "wal-dir", "", "directory for the write-ahead spill tier: writes that miss BML admission are logged there and drained asynchronously; surviving records are replayed on startup (needs -mode async; empty disables)")
+	fs.StringVar(&c.WALDir, "wal-dir", "", "directory for the write-ahead spill tier: a write that finds the staging pool full is logged there at once, without waiting, and drained asynchronously; surviving records are replayed on startup (needs -mode async; empty disables)")
 	fs.StringVar(&c.WALSync, "wal-sync", wal.SyncInterval, "WAL fsync policy: always | interval | never")
 	fs.Int64Var(&c.WALSegment, "wal-segment", 8<<20, "WAL segment rotation size in bytes")
 	fs.Int64Var(&c.WALMax, "wal-max", 0, "cap on WAL bytes awaiting drain; past it spills degrade to the sync path (0 = unlimited)")

@@ -5,7 +5,7 @@
 // (internal/wal) that is replayed before the daemon listens.
 //
 //	fwdd -listen :7070 -mode async -workers 4 -bml 256 -backend file -root /tmp/fwd
-//	fwdd -metrics :9090 -bml-timeout 20ms -wal-dir /tmp/fwd-wal -wal-sync always
+//	fwdd -metrics :9090 -wal-dir /tmp/fwd-wal -wal-sync always
 //	fwdd -backends mem,mem,mem,mem -replicas 2 -fault "seed=7;member=2:eio=1,from=10,until=40"
 //
 // `fwdd -h` describes every flag. The flags bind one to one onto

@@ -12,9 +12,10 @@ import (
 // BML is the buffer management layer (paper Section IV): a capacity-bounded
 // pool of power-of-2-sized staging buffers. Get blocks while the pool is
 // exhausted — the paper's back-pressure rule for asynchronous staging — and
-// Put returns a buffer for reuse. The server bounds its own admission wait
-// (Config.BMLTimeout) so it can degrade to the synchronous path instead of
-// blocking forever on exhaustion.
+// Put returns a buffer for reuse. A server without a spill tier bounds its
+// own admission wait (Config.BMLTimeout) so it can degrade to the
+// synchronous path instead of blocking forever on exhaustion; a server with
+// one never waits (tryGet) and spills instead.
 type BML struct {
 	capacity int64
 
@@ -104,9 +105,9 @@ func (b *BML) Get(n int) []byte {
 // getTimeout is Get with a bounded admission wait: if the pool cannot admit
 // the request within d it returns (nil, false) and the caller must degrade
 // (the server falls back to an unpooled buffer and the synchronous write
-// path). d <= 0 waits forever, matching Get. The wait is the server's own,
-// bounded by Config.BMLTimeout; client contexts end at the wire, so it
-// takes none.
+// path). d == 0 waits forever, matching Get; d < 0 does not wait at all
+// (tryGet). The wait is the server's own, bounded by Config.BMLTimeout;
+// client contexts end at the wire, so it takes none.
 func (b *BML) getTimeout(n int, d time.Duration) ([]byte, bool) {
 	c := policy.Class(int64(n))
 	if c > b.capacity {
@@ -114,6 +115,10 @@ func (b *BML) getTimeout(n int, d time.Duration) ([]byte, bool) {
 	}
 	b.mu.Lock()
 	if b.used+c > b.capacity {
+		if d < 0 {
+			b.mu.Unlock()
+			return nil, false // not a stall: nothing waited
+		}
 		// Allocation stall: the paper's back-pressure rule. Time the wait
 		// so the stall distribution is visible next to the stall count.
 		t0 := time.Now()
@@ -161,6 +166,12 @@ func (b *BML) getTimeout(n int, d time.Duration) ([]byte, bool) {
 	}
 	return buf[:n], true
 }
+
+// tryGet is the non-blocking admission: a buffer if the pool can admit n
+// right now, else (nil, false) at once. The server of a spill tier admits
+// writes this way, so a full pool sends a write to the spill tier rather
+// than making it wait.
+func (b *BML) tryGet(n int) ([]byte, bool) { return b.getTimeout(n, -1) }
 
 // Lease returns a reply-frame buffer: headerSize bytes of header room
 // followed by n payload bytes, all in one pooled allocation. Backends read

@@ -34,13 +34,16 @@
 // descriptor database tracks in-progress operations, and errors from staged
 // writes are reported on subsequent operations on the same descriptor, on
 // Fsync, or on Close. When the BML memory cap is reached, staging blocks
-// until completed operations return buffers.
+// until completed operations return buffers — unless a spill tier is
+// configured.
 //
 // Reads reply after the backend in every mode, with their data in a leased
-// BML frame the handler returns. A write that times out on BML admission
-// (Config.BMLTimeout) runs on the handler, after the staged writes it
-// overlaps, and replies with FlagDegraded; under ModeAsync a spill tier
-// (Config.Spill) can absorb it instead.
+// BML frame the handler returns. Without a spill tier, a write that times
+// out on BML admission (Config.BMLTimeout) runs on the handler, after the
+// staged writes it overlaps, and replies with FlagDegraded. With one
+// (Config.Spill, ModeAsync only), a write never waits for admission: one
+// that finds the pool full goes to the spill tier at once, and runs on the
+// handler only if the tier refuses it.
 // Opens, closes, and stats always run on the handler.
 //
 // Backends supply the terminal I/O: OS files (FileBackend), memory

@@ -59,7 +59,8 @@ const (
 	FlagDeferredErr
 	// FlagDegraded in a response tells the client the write bypassed
 	// asynchronous staging and executed synchronously because staging-pool
-	// admission timed out (BML exhaustion degradation).
+	// admission timed out (BML exhaustion degradation) or the spill tier
+	// refused it.
 	FlagDegraded
 	// FlagSpilled in a response tells the client the write missed staging
 	// admission but was durably appended to the write-ahead spill tier and

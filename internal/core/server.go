@@ -64,18 +64,21 @@ type Config struct {
 	// registers its instruments on (a fresh one is created otherwise).
 	// Each Server needs its own registry.
 	Metrics *telemetry.Registry
-	// BMLTimeout, when > 0, bounds the wait for staging-pool admission;
-	// past it a write degrades to the synchronous path with an unpooled
-	// buffer (reply carries FlagDegraded) instead of blocking forever on
-	// BML exhaustion. 0 keeps the paper's pure back-pressure behaviour.
+	// BMLTimeout, on a server without a spill tier and when > 0, bounds
+	// the wait for staging-pool admission; past it a write degrades to the
+	// synchronous path with an unpooled buffer (reply carries FlagDegraded)
+	// instead of blocking forever on BML exhaustion. 0 keeps the paper's
+	// pure back-pressure behaviour. A server with a spill tier never waits
+	// for admission, so it ignores BMLTimeout.
 	BMLTimeout time.Duration
-	// Spill, when non-nil, absorbs writes that miss staging-pool admission
-	// into a durable write-ahead tier (internal/wal) instead of degrading
-	// them to the synchronous path: the record is logged locally,
-	// acknowledged with FlagStaged|FlagSpilled, and drained to the backend
-	// in the background. A Spill refusal (full/closed) still falls back to
-	// the synchronous degrade path, so the write never blocks on the tier.
-	// Spill is ignored unless Mode is ModeAsync.
+	// Spill, when non-nil, absorbs every write that does not stage into a
+	// durable write-ahead tier (internal/wal): a write that finds the
+	// staging pool full, or whose descriptor still has spilled records
+	// live in the tier, is logged locally at once, acknowledged with
+	// FlagStaged|FlagSpilled, and drained to the backend in the
+	// background. A Spill refusal (full/closed) falls back to the
+	// synchronous degrade path, so the write never blocks on the pool or
+	// the tier. Spill is ignored unless Mode is ModeAsync.
 	Spill Spiller
 }
 
@@ -87,11 +90,11 @@ type ServerStats struct {
 	StagedWrites uint64
 	WorkerBatch  uint64
 	Conns        uint64
-	// Degraded counts writes that bypassed staging after a BML admission
-	// timeout.
+	// Degraded counts writes that bypassed staging and ran synchronously:
+	// after a BML admission timeout, or after the spill tier refused them.
 	Degraded uint64
-	// Spilled counts writes absorbed by the write-ahead spill tier after a
-	// BML admission timeout.
+	// Spilled counts writes absorbed by the write-ahead spill tier instead
+	// of staging.
 	Spilled uint64
 	// WorkerPanics counts backend panics recovered by the worker pool.
 	WorkerPanics uint64
@@ -132,6 +135,7 @@ func newServer(cfg Config, shards int) *Server {
 	if cfg.Mode != ModeAsync {
 		cfg.Spill = nil // only a mode that acks early has writes to spill
 	}
+	cfg.BMLTimeout = max(cfg.BMLTimeout, 0) // a negative one waits forever, as 0 does
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -330,6 +334,9 @@ type serverConn struct {
 	// carries resolved replies from the spill tier to the ack writer.
 	acks  chan pipelinedAck
 	slots chan struct{}
+	// spare is the unpooled payload buffer (see unpooled); only the handler
+	// touches it.
+	spare []byte
 	// observed is set by handleWrite when the current op's latency is not
 	// dispatch's to observe: a spilled write's reply was left to the ack
 	// writer, which observes it then, and an inline staged write observed
@@ -587,14 +594,23 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 		}
 		return c.reply(h.reqID, 0, EBADF, 0)
 	}
-	// Receive into a staging buffer. Allocation blocks under the BML cap,
-	// which back-pressures the client exactly as the paper describes. With
-	// BMLTimeout set, exhaustion instead degrades this write to the
-	// synchronous path with an unpooled buffer, so one stalled backend
-	// cannot wedge every forwarder on admission forever.
-	buf, pooled := s.bml.getTimeout(int(h.length), s.cfg.BMLTimeout)
+	// Receive into a staging buffer. Without a spill tier, allocation
+	// blocks under the BML cap, which back-pressures the client exactly as
+	// the paper describes; with BMLTimeout set, exhaustion instead degrades
+	// this write to the synchronous path with an unpooled buffer, so one
+	// stalled backend cannot wedge every forwarder on admission forever.
+	// With a spill tier a write never waits: it stages only if a buffer is
+	// free right now and none of the descriptor's spilled records is live
+	// (see the ordering note below); otherwise it goes to the spill tier.
+	var buf []byte
+	var pooled bool
+	if s.cfg.Spill == nil {
+		buf, pooled = s.bml.getTimeout(int(h.length), s.cfg.BMLTimeout)
+	} else if !d.spillPending() {
+		buf, pooled = s.bml.tryGet(int(h.length))
+	}
 	if !pooled {
-		buf = make([]byte, h.length)
+		buf = c.unpooled(int(h.length))
 	}
 	putBuf := func() {
 		if pooled {
@@ -638,10 +654,10 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	n := int64(h.length)
 	m.bytesWritten.Add(uint64(n))
 
-	// A write that missed staging admission is first offered to the spill
-	// tier (when one is configured): the payload is durably logged locally
-	// and acknowledged, and the background drainer applies it to the
-	// backend later — burst absorption instead of sync collapse. The spill
+	// A write that did not stage is first offered to the spill tier (when
+	// one is configured): the payload is durably logged locally and
+	// acknowledged, and the background drainer applies it to the backend
+	// later — burst absorption instead of sync collapse. The spill
 	// registers with the descriptor's in-flight bookkeeping exactly like a
 	// staged op, so reads, fsync, and close drain it and its failure
 	// surfaces as a deferred error.
@@ -654,12 +670,18 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 	// Ordering: the spill drainer is a second executor outside the
 	// descriptor's scheduler shard, so while any of the descriptor's
 	// spilled records are still live in the WAL (replayable by a crash
-	// recovery), subsequent writes — pooled or not — also route through
-	// the WAL: its per-name FIFO keeps two acknowledged writes to the same
-	// offset ordered, both live and across a restart replay. spillStart
-	// happens at submit, so that holds for writes behind an unresolved ack.
-	if s.cfg.Spill != nil && (!pooled || d.spillPending()) {
+	// recovery), subsequent writes also route through the WAL: its
+	// per-name FIFO keeps two acknowledged writes to the same offset
+	// ordered, both live and across a restart replay. spillStart happens
+	// at submit, so that holds for writes behind an unresolved ack. The
+	// descriptor's first live record must not overtake its queued staged
+	// writes either, so it first waits out the ones it overlaps; with no
+	// record live, only staged ops can be in flight.
+	if s.cfg.Spill != nil && !pooled {
 		c.slots <- struct{}{} // parks while maxPipelinedAcks are unanswered
+		if !d.spillPending() {
+			d.drainOverlap(off, off+n)
+		}
 		d.start(off, off+n)
 		d.spillStart()
 		reqID, op := h.reqID, opIndex(h.op) // h is reused for the next frame
@@ -684,8 +706,7 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 			}
 			c.acks <- ack // never blocks: this write holds one of cap(acks) slots
 		}, func(e error) { d.complete(opNum, e) }, d.spillRelease)
-		if serr == nil {
-			putBuf() // the spiller copied the payload into its log buffer
+		if serr == nil { // the spiller copied the payload into its log buffer
 			c.observed = true
 			return nil
 		}
@@ -732,9 +753,10 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 
 	// Every other write runs to completion before its reply. A degraded
 	// (unpooled) write runs on the handler — the synchronous path BMLTimeout
-	// promises — so only pool buffers ever reach a worker. Running outside
-	// the shard, it first waits out the staged writes it overlaps, which
-	// would otherwise land after it.
+	// and a spill refusal promise — so only pool buffers ever reach a
+	// worker, and the connection's unpooled buffer is free again by the
+	// next frame. Running outside the shard, it first waits out the staged
+	// writes it overlaps, which would otherwise land after it.
 	var flags uint16
 	if !pooled {
 		m.bmlDegraded.Inc()
@@ -747,6 +769,21 @@ func (c *serverConn) handleWrite(h *header, start time.Time) error {
 		return c.reply(h.reqID, 0, toErrno(qerr), 0)
 	}
 	return c.reply(h.reqID, flags, toErrno(err), n)
+}
+
+// unpooled returns an n-byte buffer for a payload that takes no staging
+// buffer (spilled or degraded). Submit copies the payload out and a
+// degraded write finishes before the next frame, so a payload that fits the
+// read buffer's size reuses one buffer the connection keeps; a larger one
+// is allocated per write.
+func (c *serverConn) unpooled(n int) []byte {
+	if n > readBufSize {
+		return make([]byte, n)
+	}
+	if c.spare == nil {
+		c.spare = make([]byte, readBufSize)
+	}
+	return c.spare[:n]
 }
 
 // handleRead executes a read and replies with its data; reads block for the

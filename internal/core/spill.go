@@ -1,10 +1,11 @@
 package core
 
 // Spiller is the disk-backed overflow tier behind the BML staging pool
-// (implemented by internal/wal.Log). When staging-pool admission times out,
-// the server offers the write here instead of degrading straight to the
-// synchronous path: an accepted record is durably logged and the write is
-// acknowledged as soon as it is durable, burst-buffer style.
+// (implemented by internal/wal.Log). When a write finds the staging pool
+// full, the server offers it here at once instead of waiting for a buffer
+// or degrading to the synchronous path: an accepted record is durably
+// logged and the write is acknowledged as soon as it is durable,
+// burst-buffer style.
 //
 // Submit is a pure enqueue, in the paper's sense (§IV): take the payload,
 // queue the work, unblock the requester's path. It returns once the record's

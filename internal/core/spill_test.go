@@ -72,6 +72,26 @@ func (f *fakeSpill) waitSubmits(t *testing.T, n int) []spillRec {
 	return append([]spillRec(nil), f.appends[:n]...)
 }
 
+// applySpilled writes rec to b, as the WAL's drainer would.
+func applySpilled(b Backend, rec spillRec) error {
+	h, err := b.Open(rec.name, true)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	_, err = h.WriteAt(rec.data, rec.off)
+	return err
+}
+
+// gateOpener returns a func that opens gate once; it also runs at cleanup,
+// so a failing test never leaves a worker blocked in the backend.
+func gateOpener(t *testing.T, gate *gateBackend) func() {
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate.release) }) }
+	t.Cleanup(open)
+	return open
+}
+
 // writeResults runs n concurrent WriteAts of one BML class each, at offsets
 // i*policy.MinClass, and returns a channel per write that yields its error.
 func writeResults(f *File, n int) []chan error {
@@ -210,16 +230,6 @@ func TestSpillOrderingSerializesWithWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apply := func(rec spillRec) {
-		h, err := s.cfg.Backend.Open(rec.name, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Close()
-		if _, err := h.WriteAt(rec.data, rec.off); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	// Write 1 misses admission (BML plugged) and spills.
 	plug := s.bml.Get(policy.MinClass)
@@ -259,21 +269,154 @@ func TestSpillOrderingSerializesWithWAL(t *testing.T) {
 	// Drain the WAL: apply, report, release — in append order. Only after
 	// the last release may write 3 reach the backend.
 	for _, rec := range []spillRec{rec0, rec1} {
-		apply(rec)
+		if err := applySpilled(s.cfg.Backend, rec); err != nil {
+			t.Fatal(err)
+		}
 		rec.done(nil)
 		rec.released()
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("write after release: %v", err)
 	}
-	// Write 3 was admitted (pooled) after the wait, so it went down the
-	// staged path: drain it before inspecting the backend.
+	// A write the spill tier refuses takes the synchronous degrade path,
+	// never the staged one, even with the pool free after the wait.
+	if st := s.Stats(); st.Degraded != 1 || st.StagedWrites != 0 {
+		t.Fatalf("stats: degraded=%d staged=%d, want 1/0", st.Degraded, st.StagedWrites)
+	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.cfg.Backend.(*MemBackend).Bytes("burst")
 	if !ok || !bytes.Equal(got, final) {
 		t.Fatalf("backend holds stale bytes (ok=%v first=%#x), want the last write", ok, got[0])
+	}
+}
+
+// TestSpillDoesNotOvertakeStaged: a descriptor's first spilled record must
+// not overtake an older staged write it overlaps. Staged write A is held at
+// the backend; write B to the same bytes finds the pool full and spills, and
+// a drainer applies B as soon as it is submitted. If B's submit did not wait
+// for A, A would land on top of the later, acknowledged B.
+func TestSpillDoesNotOvertakeStaged(t *testing.T) {
+	fs := &fakeSpill{}
+	mem := NewMemBackend()
+	gate := &gateBackend{inner: mem, release: make(chan struct{})}
+	c, s := pipePair(t, Config{
+		Mode: ModeAsync, Workers: 1, BMLBytes: policy.MinClass, BMLTimeout: time.Millisecond,
+		Backend: gate, Spill: fs,
+	})
+	open := gateOpener(t, gate)
+	f, err := c.Open(context.Background(), "ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stages, takes the pool's one buffer and blocks at the backend.
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xa1}, policy.MinClass), 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.StagedWrites != 1 {
+		t.Fatalf("write A: staged=%d, want 1", st.StagedWrites)
+	}
+	// The drainer: applies B to the backend behind the gate as soon as it is
+	// submitted, as the WAL's drainer may.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		rec := fs.waitSubmits(t, 1)[0]
+		rec.done(applySpilled(mem, rec))
+		rec.released()
+	}()
+	want := bytes.Repeat([]byte{0xb2}, policy.MinClass)
+	res := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(want, 0)
+		res <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // room for B to overtake A
+	open()
+	if err := <-res; err != nil {
+		t.Fatalf("write B: %v", err)
+	}
+	<-drained
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Spilled != 1 {
+		t.Fatalf("write B: spilled=%d, want 1", st.Spilled)
+	}
+	if got, _ := mem.Bytes("ckpt"); !bytes.Equal(got, want) {
+		t.Fatalf("backend holds %#x, want the later acked write %#x", got[0], want[0])
+	}
+}
+
+// TestSpillAdmissionNeverWaits pins the admission rule of a server with a
+// spill tier: a write that finds the staging pool full goes to the spill
+// tier at once, even with BMLTimeout 0 (which would wait forever without
+// one), and never counts as a BML stall.
+func TestSpillAdmissionNeverWaits(t *testing.T) {
+	const staged, spilled = 4, 8
+	fs := &fakeSpill{}
+	mem := NewMemBackend()
+	gate := &gateBackend{inner: mem, release: make(chan struct{})}
+	c, s := pipePair(t, Config{
+		Mode: ModeAsync, Workers: 1, BMLBytes: staged * policy.MinClass, BMLTimeout: 0,
+		Backend: gate, Spill: fs,
+	})
+	open := gateOpener(t, gate)
+	f, err := c.Open(context.Background(), "ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(i int) []byte { return bytes.Repeat([]byte{byte(0x10 + i)}, policy.MinClass) }
+	// The first write blocks at the backend; the other three queue behind
+	// it, and the four of them hold the whole pool.
+	for i := 0; i < staged; i++ {
+		if _, err := f.WriteAt(fill(i), int64(i*policy.MinClass)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.StagedWrites != staged {
+		t.Fatalf("staged=%d, want %d", st.StagedWrites, staged)
+	}
+	res := make(chan error, spilled)
+	for i := staged; i < staged+spilled; i++ {
+		go func() {
+			_, err := f.WriteAt(fill(i), int64(i*policy.MinClass))
+			res <- err
+		}()
+	}
+	deadline := time.After(5 * time.Second)
+	for range spilled {
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("writes to a full pool waited for admission instead of spilling")
+		}
+	}
+	if st := s.Stats(); st.Spilled != spilled || st.Degraded != 0 {
+		t.Fatalf("stats: spilled=%d degraded=%d, want %d/0", st.Spilled, st.Degraded, spilled)
+	}
+	if st := s.BMLStats(); st.Stalls != 0 || st.Timeouts != 0 {
+		t.Fatalf("BML stalls=%d timeouts=%d, want 0/0", st.Stalls, st.Timeouts)
+	}
+	// Drain the spilled records, open the backend, and read every acked
+	// record back.
+	for _, rec := range fs.waitSubmits(t, spilled) {
+		rec.done(applySpilled(mem, rec))
+		rec.released()
+	}
+	open()
+	got := make([]byte, policy.MinClass)
+	for i := 0; i < staged+spilled; i++ {
+		if _, err := f.ReadAt(got, int64(i*policy.MinClass)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fill(i)) {
+			t.Fatalf("record %d reads %#x, want %#x", i, got[0], fill(i)[0])
+		}
 	}
 }
 

@@ -9,8 +9,7 @@ package wal
 // buffer class wide of exactly 16 slots (-bml 1 MiB, 64 KiB writes), a
 // "plug" file fills all 16 slots, and a fault-injected backend latency keeps
 // the single worker stuck so no slot frees until long after the burst — so
-// every "data" write misses admission, times out (-bml-timeout), and spills
-// to the WAL. Under -wal-sync always an acknowledged spill is fsynced, so
+// every "data" write finds the pool full and spills to the WAL at once. Under -wal-sync always an acknowledged spill is fsynced, so
 // the acked set is exactly what recovery must reproduce.
 
 import (
